@@ -497,48 +497,32 @@ def _command_checks() -> int:
     return 0 if not failing else 1
 
 
-def _split_sweep_outcome(outcome: object, on_error: str) -> tuple:
-    """Unpack a sweep return value into ``(result, report)``.
-
-    Under ``on_error="skip"`` the runners return a ``(result,
-    FailureReport)`` pair; otherwise the result alone.
-    """
-    if on_error == "skip":
-        result, report = outcome
-        return result, (report if report else None)
-    return outcome, None
-
-
-def _command_sweep(
-    name: str,
-    markdown: bool,
-    draws: int | None,
-    seed: int | None,
-    band: str | None,
-    jobs: int,
-    chunk_size: int | None,
-    cache_dir: str | None,
-    retries: int | None,
-    timeout: float | None,
-    on_error: str,
-    resume: bool,
-) -> int:
-    from .exec import CheckpointStore, ResultCache, cache_key, package_fingerprint
+def _command_sweep(args: argparse.Namespace, cache_dir: "str | None") -> int:
+    """Run one named sweep; exit 1 when chunks were skipped."""
+    from .exec import (
+        CheckpointStore,
+        ExecOptions,
+        ResultCache,
+        cache_key,
+        package_fingerprint,
+    )
     from .experiments.markdown import markdown_table
     from .report.tables import render_table
     from .scenarios import SWEEPS, run_sweep, run_uncertain_sweep
     from .tabular import Table
     from .uncertainty import UncertainResult
 
+    name, draws, seed, band = args.sweep, args.draws, args.seed, args.band
+    markdown = args.markdown
     spec = SWEEPS[name]
     disk = ResultCache(cache_dir) if cache_dir is not None else None
-    if resume and disk is None:
+    if args.resume and disk is None:
         print(
             "error: --resume needs the on-disk cache (drop --no-cache)",
             file=sys.stderr,
         )
         return 2
-    report = None
+
     if draws is None:
         # A deterministic sweep must not silently swallow Monte Carlo
         # flags the user believes are in effect.
@@ -546,71 +530,49 @@ def _command_sweep(
             if value is not None:
                 print(f"error: {flag} needs --draws", file=sys.stderr)
                 return 2
-        # jobs/chunk_size are not part of the key: sharded sweeps are
-        # bit-identical to monolithic ones, so any parallelism level
-        # warm-starts every other.
-        key = (
-            cache_key("sweep", name, "point", package_fingerprint())
-            if disk is not None
-            else None
-        )
-        table = disk.get(key) if disk is not None else None
-        if not isinstance(table, Table):
-            checkpoint = (
-                CheckpointStore(
-                    cache_dir,
-                    spec_parts=("sweep", name, "point"),
-                    consume=resume,
-                )
-                if disk is not None
-                else None
-            )
-            outcome = run_sweep(
-                name,
-                jobs=jobs,
-                chunk_size=chunk_size,
-                retries=retries,
-                timeout=timeout,
-                on_error=on_error,
-                checkpoint=checkpoint,
-            )
-            table, report = _split_sweep_outcome(outcome, on_error)
-            # A partial table must never be served as the sweep's result.
-            if disk is not None and report is None:
-                disk.put(key, table)
-        footer = f"{table.num_rows} scenarios, batched kernels"
+        spec_parts: "tuple[object, ...]" = ("sweep", name, "point")
+        kind: type = Table
     else:
         seed_value = seed if seed is not None else 0
-        key = (
-            cache_key("sweep", name, draws, seed_value, package_fingerprint())
-            if disk is not None
-            else None
-        )
-        result = disk.get(key) if disk is not None else None
-        if not isinstance(result, UncertainResult):
-            checkpoint = (
+        spec_parts = ("sweep", name, draws, seed_value)
+        kind = UncertainResult
+    # jobs/chunk_size are not part of the key: sharded sweeps are
+    # bit-identical to monolithic ones, so any parallelism level
+    # warm-starts every other.
+    key = (
+        cache_key(*spec_parts, package_fingerprint())
+        if disk is not None
+        else None
+    )
+    result = disk.get(key) if disk is not None else None
+    report = None
+    if not isinstance(result, kind):
+        options = ExecOptions(
+            jobs=args.jobs,
+            chunk_size=args.chunk_size,
+            retries=args.retries,
+            timeout=args.timeout,
+            on_error=args.on_error,
+            checkpoint=(
                 CheckpointStore(
-                    cache_dir,
-                    spec_parts=("sweep", name, draws, seed_value),
-                    consume=resume,
+                    cache_dir, spec_parts=spec_parts, consume=args.resume
                 )
                 if disk is not None
                 else None
-            )
-            outcome = run_uncertain_sweep(
-                name,
-                draws,
-                seed_value,
-                jobs=jobs,
-                chunk_size=chunk_size,
-                retries=retries,
-                timeout=timeout,
-                on_error=on_error,
-                checkpoint=checkpoint,
-            )
-            result, report = _split_sweep_outcome(outcome, on_error)
-            if disk is not None and report is None:
-                disk.put(key, result)
+            ),
+        )
+        result, report = options.split(
+            run_sweep(name, **options)
+            if draws is None
+            else run_uncertain_sweep(name, draws, seed_value, **options)
+        )
+        # A partial result must never be cached as the sweep's result.
+        if disk is not None and not report:
+            disk.put(key, result)
+    if draws is None:
+        table = result
+        footer = f"{table.num_rows} scenarios, batched kernels"
+    else:
         if band is not None and band not in result.metric_names:
             print(
                 f"error: no metric {band!r}; have {result.metric_names}",
@@ -642,7 +604,7 @@ def _command_sweep(
         )
         # Character-cell output must be fenced to stay valid markdown.
         print(f"\n```\n{chart}\n```" if markdown else f"\n{chart}")
-    if report is not None:
+    if report:
         print(f"warning: {report.summary()}", file=sys.stderr)
         for failure in report.failures:
             print(
@@ -817,18 +779,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "sweep", args.sweep, args.trace_out, args.metrics
             ):
                 return _command_sweep(
-                    args.sweep,
-                    args.markdown,
-                    args.draws,
-                    args.seed,
-                    args.band,
-                    args.jobs,
-                    args.chunk_size,
-                    _resolve_cache_dir(args.cache_dir, args.no_cache),
-                    args.retries,
-                    args.timeout,
-                    args.on_error,
-                    args.resume,
+                    args, _resolve_cache_dir(args.cache_dir, args.no_cache)
                 )
         if args.command == "serve":
             with _observed(

@@ -13,11 +13,14 @@ and keeps long runs alive when workers raise, crash, or hang:
   an in-order streaming reduction. Per-scenario seeded RNG streams
   make sharded runs bit-identical to monolithic ones
   (``tests/test_sharded_equivalence.py``).
-* :class:`RetryPolicy` / ``timeout`` / ``on_error`` — fault-tolerant
-  execution: failed, crashed, hung, or corrupt chunks are retried with
-  deterministic seeded backoff; exhausted chunks raise a structured
-  :class:`~repro.errors.ChunkFailedError` or degrade to partial
-  results plus a :class:`FailureReport` under ``on_error="skip"``.
+* :class:`ExecOptions` — the six execution settings every runner takes
+  (``jobs``, ``chunk_size``, ``retries``, ``timeout``, ``on_error``,
+  ``checkpoint``) as one validated value, plus the public return
+  contract. Failed, crashed, hung, or corrupt chunks are retried with
+  deterministic seeded backoff (:class:`RetryPolicy`); exhausted chunks
+  raise a structured :class:`~repro.errors.ChunkFailedError` or degrade
+  to partial results plus a :class:`FailureReport` under
+  ``on_error="skip"``.
 * :class:`CheckpointStore` — chunk-level checkpoints layered on the
   result cache, keyed by (spec digest, shard range), so interrupted
   sweeps resume bit-identically via ``repro sweep --resume``.
@@ -39,10 +42,10 @@ and peak RSS back inside the result envelopes), and
 attempt-outcome sequences a traced run must reproduce.
 
 The sweep runners in :mod:`repro.scenarios`, :mod:`repro.uncertainty`,
-and :mod:`repro.traces` all accept ``jobs=``/``chunk_size=`` plus the
-fault-tolerance knobs and route through this layer; the CLI surfaces
-them as ``repro sweep NAME --jobs N --retries R --timeout S
---on-error skip --resume``.
+:mod:`repro.portfolio`, and :mod:`repro.traces` all take the
+:class:`ExecOptions` settings as keywords and route through this
+layer; the CLI surfaces them as ``repro sweep NAME --jobs N --retries
+R --timeout S --on-error skip --resume``.
 """
 
 from .cache import (
@@ -62,6 +65,7 @@ from .faults import (
     install_faults,
     predict_outcomes,
 )
+from .options import ExecOptions
 from .plan import Shard, ShardPlan
 from .retry import ChunkFailure, FailureReport, RetryPolicy
 from .runner import kernel_name, resolve_kernel, run_sharded
@@ -72,6 +76,7 @@ __all__ = [
     "kernel_name",
     "resolve_kernel",
     "run_sharded",
+    "ExecOptions",
     "RetryPolicy",
     "ChunkFailure",
     "FailureReport",

@@ -16,35 +16,34 @@ by ``"module:function"`` name — resolved by import inside the worker —
 which keeps the driver picklable under every start method (fork,
 forkserver, spawn).
 
-``jobs=1`` runs the same chunks inline with no pool, which is both the
-zero-dependency fallback and the memory-bounding mode: intermediate
+``jobs=1`` runs the same chunks inline, one at a time, which is both
+the zero-dependency fallback and the memory-bounding mode: intermediate
 (scenarios × draws × years) kernel arrays never exceed ``chunk_size``
 scenarios, whatever the grid size.
 
-The pool path is fault tolerant. Work proceeds in *waves*: each wave
-owns a fresh pool, submits every not-yet-finished chunk, and polls
-with a short :func:`concurrent.futures.wait` so the driver can notice
-three distinct failure modes — a chunk that raises (a normal failed
-future), a worker that dies (the pool breaks; only chunks observed
-running are charged an attempt, the rest resubmit uncharged), and a
-chunk that hangs (its wall-clock runtime exceeds the per-chunk
+Both modes share one fault-tolerant attempt loop. Work proceeds in
+*waves*: each wave owns a fresh executor, submits every not-yet-finished
+chunk, and polls with a short :func:`concurrent.futures.wait` so the
+driver can notice three distinct failure modes — a chunk that raises (a
+normal failed future), a worker that dies (the pool breaks; only chunks
+observed running are charged an attempt, the rest resubmit uncharged),
+and a chunk that hangs (its wall-clock runtime exceeds the per-chunk
 ``timeout``; running futures cannot be cancelled, so the whole pool is
 abandoned — queued work cancelled, workers terminated — and the next
-wave takes over). Results cross the process boundary in an integrity
-envelope (sha256 over the worker-pickled bytes), so a corrupt result
-is detected and charged as a failed attempt instead of silently
-combined. Retries follow a :class:`~repro.exec.retry.RetryPolicy`
-with deterministic seeded backoff; exhausted chunks raise a structured
-:class:`~repro.errors.ChunkFailedError` or, under ``on_error="skip"``,
-degrade to partial results plus a
-:class:`~repro.exec.retry.FailureReport`. A
-:class:`~repro.exec.checkpoint.CheckpointStore` persists each finished
-chunk so an interrupted sweep resumes bit-identically.
+wave takes over). Inline chunks go through the same loop on an executor
+that runs each task as it is submitted. Pooled results cross the
+process boundary in an integrity envelope (sha256 over the
+worker-pickled bytes), so a corrupt result is detected and charged as a
+failed attempt instead of silently combined. Retries follow a
+:class:`~repro.exec.retry.RetryPolicy` with deterministic seeded
+backoff; how exhausted chunks surface, and checkpointing, are set by
+:class:`~repro.exec.options.ExecOptions`.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import importlib
 import pickle
@@ -54,9 +53,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..errors import ChunkFailedError, CorruptChunkError, ExecutionError
-from ..obs.recorder import active_recorder
-from .checkpoint import CheckpointStore
+from ..obs.recorder import NULL_RECORDER, active_recorder
 from .faults import FaultSpec, active_fault_spec, corrupt_bytes, perform_fault
+from .options import ExecOptions
 from .plan import Shard, ShardPlan
 from .retry import ChunkFailure, FailureReport, RetryPolicy
 
@@ -203,13 +202,14 @@ def _open_envelope(envelope: Any, *, start: int, stop: int) -> Any:
 def _worker_chunk(start: int, stop: int, attempt: int = 1) -> tuple:
     """Run the initialized kernel on one ``[start, stop)`` chunk.
 
-    Returns the result wrapped in an integrity envelope. If a fault
-    rule matches this (chunk, attempt), it fires here: ``raise``,
-    ``crash``, and ``hang`` before the kernel runs; ``corrupt`` by
-    flipping a bit of the pickled result *after* the digest is taken,
-    so the driver's verification fails deterministically.
+    Returns the envelope ``(digest, blob, events)``: the result pickled
+    with its sha256 digest, plus worker telemetry. If a fault rule
+    matches this (chunk, attempt), it fires here: ``raise``, ``crash``,
+    and ``hang`` before the kernel runs; ``corrupt`` by flipping a bit
+    of the pickled result *after* the digest is taken, so the driver's
+    verification fails deterministically.
 
-    With telemetry armed the envelope grows a third element — a list
+    ``events`` is ``None`` unless telemetry is armed, when it is a list
     of ``chunk_worker`` event dicts (kernel wall time, rows, peak RSS)
     the driver records on arrival. The events ride *outside* the
     digested blob, so telemetry can never perturb integrity checks,
@@ -225,38 +225,67 @@ def _worker_chunk(start: int, stop: int, attempt: int = 1) -> tuple:
     digest, blob = _envelope(result)
     if rule is not None and rule.kind == "corrupt":
         blob = corrupt_bytes(blob)
-    if not _WORKER_STATE.get("telemetry"):
-        return digest, blob
-    events = [
-        {
-            "kind": "chunk_worker",
-            "start": start,
-            "stop": stop,
-            "attempt": attempt,
-            "dur_s": duration,
-            "rows": stop - start,
-            "peak_rss_kb": _peak_rss_kb(),
-        }
-    ]
+    events = None
+    if _WORKER_STATE.get("telemetry"):
+        events = [
+            {
+                "kind": "chunk_worker",
+                "start": start,
+                "stop": stop,
+                "attempt": attempt,
+                "dur_s": duration,
+                "rows": stop - start,
+                "peak_rss_kb": _peak_rss_kb(),
+            }
+        ]
     return digest, blob, events
 
 
-def _split_envelope_events(raw: Any) -> "tuple[Any, list | None]":
-    """Split worker telemetry off a result envelope, if present.
+def _inline_chunk(
+    kernel: Callable[[Any, int, int], Any],
+    payload: Any,
+    spec: "FaultSpec | None",
+    start: int,
+    stop: int,
+    attempt: int,
+) -> "tuple[Any, float]":
+    """Run one chunk on the calling thread; returns ``(result, seconds)``.
 
-    Telemetry must be separated *before* envelope verification — a
-    corrupt-blob attempt still carries valid timing events, and
-    :func:`_open_envelope` only understands two-element envelopes.
+    The inline counterpart of :func:`_worker_chunk`: a ``crash`` rule
+    degrades to a raise, and the result is neither pickled nor hashed —
+    except under a ``corrupt`` rule, which damages a real envelope so
+    verification objects exactly as it does for a pooled chunk.
     """
-    if (
-        isinstance(raw, tuple)
-        and len(raw) == 3
-        and isinstance(raw[0], str)
-        and isinstance(raw[1], bytes)
-        and isinstance(raw[2], list)
-    ):
-        return (raw[0], raw[1]), raw[2]
-    return raw, None
+    rule = spec.match(start, attempt) if spec is not None else None
+    began = time.monotonic()
+    if rule is not None and rule.kind != "corrupt":
+        perform_fault(rule, start=start, in_worker=False)
+    result = kernel(payload, start, stop)
+    if rule is not None and rule.kind == "corrupt":
+        digest, blob = _envelope(result)
+        _open_envelope((digest, corrupt_bytes(blob)), start=start, stop=stop)
+    return result, time.monotonic() - began
+
+
+class _InlineExecutor:
+    """An executor that runs each task on the calling thread as it is
+    submitted, so inline chunks share the pool's attempt loop."""
+
+    def __init__(self, **pool_args: Any) -> None:
+        """Pool sizing and initializers do not apply: there are no workers."""
+
+    def submit(
+        self, fn: Callable[..., Any], *args: Any
+    ) -> concurrent.futures.Future:
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Nothing to release."""
 
 
 @dataclass(frozen=True)
@@ -309,22 +338,25 @@ def _run_pool_tasks(
     timeout: "float | None" = None,
     initializer: "Callable[..., None] | None" = None,
     initargs: tuple = (),
-    postprocess: "Callable[[_PoolTask, Any], Any] | None" = None,
+    postprocess: "Callable[[_PoolTask, Any], tuple[Any, dict]] | None" = None,
     scope: str = "chunk",
+    inline: bool = False,
 ) -> tuple[dict[Any, Any], list[_TaskFailure]]:
-    """The wave-based fault-tolerant pool engine.
+    """The wave-based fault-tolerant attempt loop.
 
     Runs ``task_fn(*task.args, attempt)`` for every task across a
-    process pool, retrying failures per ``retry``. Each *wave* owns a
-    fresh pool; a wave ends normally when all its futures resolve, or
-    is abandoned when the pool breaks (worker crash) or a chunk runs
-    past ``timeout`` — the unfinished, uncharged tasks roll into the
-    next wave. ``postprocess(task, raw)`` runs driver-side on each
-    completed future (envelope verification, checkpointing); an
+    process pool — or, with ``inline=True``, on the calling thread —
+    retrying failures per ``retry``. Each *wave* owns a fresh
+    executor; a wave ends normally when all its futures resolve, or is
+    abandoned when the pool breaks (worker crash) or a chunk runs past
+    ``timeout`` — the unfinished, uncharged tasks roll into the next
+    wave. ``postprocess(task, raw)`` runs driver-side on each completed
+    future (envelope verification, checkpointing) and returns the
+    task's value plus extra fields for its ``ok`` attempt event; an
     exception there counts as a failed attempt of that task.
 
-    Every wave is a ``wave`` span on the active recorder; each charged
-    attempt lands as an ``attempt`` event (outcome
+    Every pooled wave is a ``wave`` span on the active recorder; each
+    charged attempt lands as an ``attempt`` event (outcome
     ``ok``/``error``/``corrupt``/``crash``/``timeout``), each scheduled
     retry as a ``retry`` event, and pool teardown/rebuild as ``pool``
     events. ``scope`` labels those events (``"chunk"`` for sharded
@@ -336,6 +368,9 @@ def _run_pool_tasks(
     parallel ``run_all``.
     """
     recorder = active_recorder()
+    executor = _InlineExecutor if inline else _pool_executor
+    # Inline tasks have no pool, so no waves or pool events to trace.
+    pool_recorder = NULL_RECORDER if inline else recorder
     pending: list[tuple[_PoolTask, int]] = [(task, 1) for task in tasks]
     results: dict[Any, Any] = {}
     failures: list[_TaskFailure] = []
@@ -377,8 +412,8 @@ def _run_pool_tasks(
     while pending:
         wave, pending = pending, []
         if wave_index:
-            recorder.event("pool", op="rebuild", wave=wave_index)
-        wave_span = recorder.span(
+            pool_recorder.event("pool", op="rebuild", wave=wave_index)
+        wave_span = pool_recorder.span(
             "wave",
             index=wave_index,
             tasks=len(wave),
@@ -386,7 +421,7 @@ def _run_pool_tasks(
         )
         wave_index += 1
         with wave_span:
-            pool = _pool_executor(
+            pool = executor(
                 max_workers=min(workers, len(wave)),
                 initializer=initializer,
                 initargs=initargs,
@@ -410,11 +445,9 @@ def _run_pool_tasks(
                     for future in done:
                         task, attempt = info[future]
                         try:
-                            value = future.result()
-                            value, worker_events = _split_envelope_events(value)
-                            recorder.record_worker_events(worker_events)
+                            value, fields = future.result(), {}
                             if postprocess is not None:
-                                value = postprocess(task, value)
+                                value, fields = postprocess(task, value)
                         except concurrent.futures.BrokenExecutor as error:
                             # A dead worker poisons every unfinished future
                             # with the same exception; fold this one back in
@@ -437,65 +470,47 @@ def _run_pool_tasks(
                             stream=task.stream,
                             attempt=attempt,
                             outcome="ok",
+                            **fields,
                         )
                         results[task.key] = value
+                    # The pool is forfeit when a worker died or a chunk
+                    # hung: the blamed tasks are charged an attempt and
+                    # innocent bystanders resubmit uncharged next wave.
+                    blamed: "set | None" = None
                     if broken is not None:
                         # Only tasks observed running can have killed the
-                        # worker; queued ones resubmit without losing an
-                        # attempt. If the crash beat our first poll, charge
+                        # worker. If the crash beat our first poll, charge
                         # everything unfinished rather than loop forever.
-                        charged = {f for f in outstanding if f in first_running}
-                        if not charged:
-                            charged = set(outstanding)
+                        blamed = {f for f in outstanding if f in first_running}
+                        blamed = blamed or set(outstanding)
+                        kind, message = "crash", f"worker process died ({broken})"
+                    else:
+                        for future in outstanding:
+                            if future not in first_running and future.running():
+                                first_running[future] = now
+                        if timeout is not None:
+                            # Running futures cannot be cancelled.
+                            blamed = {
+                                future
+                                for future in outstanding
+                                if future in first_running
+                                and now - first_running[future] >= timeout
+                            }
+                            kind = "timeout"
+                            message = (
+                                f"chunk ran past the {timeout:g}s per-chunk timeout"
+                            )
+                    if blamed:
                         for future in outstanding:
                             task, attempt = info[future]
-                            if future in charged:
-                                charge(
-                                    task,
-                                    attempt,
-                                    "crash",
-                                    f"worker process died ({broken})",
-                                    broken,
-                                    delays,
-                                )
+                            if future in blamed:
+                                charge(task, attempt, kind, message, broken, delays)
                             else:
                                 pending.append((task, attempt))
-                        recorder.event("pool", op="abandon", reason="crash")
+                        pool_recorder.event("pool", op="abandon", reason=kind)
                         _abandon_pool(pool)
                         abandoned = True
                         break
-                    for future in outstanding:
-                        if future not in first_running and future.running():
-                            first_running[future] = now
-                    if timeout is not None:
-                        timed_out = {
-                            future
-                            for future in outstanding
-                            if future in first_running
-                            and now - first_running[future] >= timeout
-                        }
-                        if timed_out:
-                            # Running futures cannot be cancelled, so the
-                            # whole pool is forfeit; innocent bystanders
-                            # resubmit uncharged in the next wave.
-                            for future in outstanding:
-                                task, attempt = info[future]
-                                if future in timed_out:
-                                    charge(
-                                        task,
-                                        attempt,
-                                        "timeout",
-                                        f"chunk ran past the {timeout:g}s "
-                                        f"per-chunk timeout",
-                                        None,
-                                        delays,
-                                    )
-                                else:
-                                    pending.append((task, attempt))
-                            recorder.event("pool", op="abandon", reason="timeout")
-                            _abandon_pool(pool)
-                            abandoned = True
-                            break
             except BaseException:
                 _abandon_pool(pool)
                 raise
@@ -506,96 +521,19 @@ def _run_pool_tasks(
     return results, failures
 
 
-def _run_chunk_inline(
-    kernel: Callable[[Any, int, int], Any],
-    payload: Any,
-    shard: Shard,
-    *,
-    retry: RetryPolicy,
-    spec: "FaultSpec | None",
-) -> "tuple[Any, _TaskFailure | None]":
-    """Run one chunk on the calling thread with the same retry budget."""
-    recorder = active_recorder()
-    last_error: "Exception | None" = None
-    kind = "error"
-    for attempt in range(1, retry.max_attempts + 1):
-        rule = spec.match(shard.start, attempt) if spec is not None else None
-        began = time.monotonic()
-        try:
-            if rule is not None and rule.kind != "corrupt":
-                perform_fault(rule, start=shard.start, in_worker=False)
-            chunk = kernel(payload, shard.start, shard.stop)
-            if rule is not None and rule.kind == "corrupt":
-                # Mirror the pool path's integrity failure: build the
-                # envelope, damage it, and let verification object.
-                digest, blob = _envelope(chunk)
-                _open_envelope(
-                    (digest, corrupt_bytes(blob)),
-                    start=shard.start,
-                    stop=shard.stop,
-                )
-            recorder.event(
-                "attempt",
-                scope="chunk",
-                key=shard.index,
-                stream=shard.start,
-                attempt=attempt,
-                outcome="ok",
-                dur_s=time.monotonic() - began,
-                rows=shard.stop - shard.start,
-            )
-            return chunk, None
-        except Exception as error:
-            last_error = error
-            kind = "corrupt" if isinstance(error, CorruptChunkError) else "error"
-            recorder.event(
-                "attempt",
-                scope="chunk",
-                key=shard.index,
-                stream=shard.start,
-                attempt=attempt,
-                outcome=kind,
-                error=str(error)[:200],
-            )
-            if attempt < retry.max_attempts:
-                delay = retry.delay(shard.start, attempt)
-                recorder.event(
-                    "retry",
-                    scope="chunk",
-                    stream=shard.start,
-                    attempt=attempt,
-                    delay_s=delay,
-                )
-                _sleep(delay)
-    failure = _TaskFailure(
-        key=shard.index,
-        stream=shard.start,
-        attempts=retry.max_attempts,
-        kind=kind,
-        message=str(last_error),
-        error=last_error,
-    )
-    return None, failure
+def _raise_exhausted(shard: Shard, failure: _TaskFailure, *, raw: bool) -> None:
+    """Raise for one exhausted shard.
 
-
-def _raise_exhausted(
-    shard: Shard, failure: _TaskFailure, retry: RetryPolicy
-) -> None:
-    """Surface an exhausted chunk under ``on_error="raise"``.
-
-    With no retry budget armed the chunk's own exception propagates
-    raw, as ``run_sharded`` always raised before the fault-tolerance
-    layer existed; with retries in play, exhaustion is a structured
-    :class:`~repro.errors.ChunkFailedError` (crash and timeout
-    failures have no original exception and are always structured).
+    With ``raw`` set (``on_error="raise"`` and no retry budget) a chunk
+    kernel's own exception propagates unchanged, as ``run_sharded``
+    always raised before the fault-tolerance layer existed. Otherwise —
+    and always for crashes, timeouts, and corrupt results, which are
+    never the kernel's own exception — a structured
+    :class:`~repro.errors.ChunkFailedError` names the shard, chained
+    from the cause.
     """
-    if retry.max_attempts == 1 and failure.error is not None:
+    if raw and failure.kind == "error":
         raise failure.error
-    _raise_chunk_failed(shard, failure)
-
-
-def _raise_chunk_failed(shard: Shard, failure: _TaskFailure) -> None:
-    """Raise the structured exhaustion error for one failed shard."""
     raise ChunkFailedError(
         f"chunk {shard.index} (scenarios [{shard.start}, {shard.stop})) "
         f"failed after {failure.attempts} attempt(s) [{failure.kind}]: "
@@ -620,18 +558,149 @@ def _chunk_failure(shard: Shard, failure: _TaskFailure) -> ChunkFailure:
     )
 
 
+def _run_sharded(
+    kernel: Callable[[Any, int, int], Any],
+    payload: Any,
+    plan: ShardPlan,
+    options: ExecOptions,
+    *,
+    combine: "Callable[[Sequence[Any]], Any] | None" = None,
+    faults: "FaultSpec | None" = None,
+) -> "tuple[Any, FailureReport]":
+    """:func:`run_sharded` before its return contract: ``(result, report)``.
+
+    The report is empty unless ``options.on_error`` is ``"skip"``:
+    under ``"raise"`` the first exhausted chunk raises here. Sweep
+    runners call this with their one :class:`ExecOptions` and apply
+    :meth:`ExecOptions.finish` at their own public boundary.
+    """
+    spec = active_fault_spec(faults) or None
+    name = kernel_name(kernel)
+    shards = plan.shards()
+    shard_by_index = {shard.index: shard for shard in shards}
+    checkpoint = options.checkpoint if len(shards) > 1 else None
+    inline = options.jobs == 1 or (len(shards) == 1 and options.timeout is None)
+    recorder = active_recorder()
+
+    def keep(task: _PoolTask, chunk: Any) -> Any:
+        if checkpoint is not None:
+            checkpoint.put(*task.args, chunk)
+        return chunk
+
+    def finish_inline(task: _PoolTask, raw: Any) -> "tuple[Any, dict]":
+        chunk, duration = raw
+        start, stop = task.args
+        return keep(task, chunk), {"dur_s": duration, "rows": stop - start}
+
+    def finish_pooled(task: _PoolTask, raw: Any) -> "tuple[Any, dict]":
+        digest, blob, events = raw
+        recorder.record_worker_events(events)
+        start, stop = task.args
+        chunk = _open_envelope((digest, blob), start=start, stop=stop)
+        return keep(task, chunk), {}
+
+    if inline:
+        engine = functools.partial(
+            _run_pool_tasks,
+            task_fn=functools.partial(_inline_chunk, kernel, payload, spec),
+            workers=1,
+            postprocess=finish_inline,
+            inline=True,
+        )
+    else:
+        engine = functools.partial(
+            _run_pool_tasks,
+            task_fn=_worker_chunk,
+            workers=options.jobs,
+            timeout=options.timeout,
+            initializer=_worker_init,
+            initargs=(name, payload, spec, recorder.enabled),
+            postprocess=finish_pooled,
+        )
+
+    with recorder.span(
+        "sharded_run",
+        kernel=name,
+        scenarios=plan.num_scenarios,
+        chunks=len(shards),
+        jobs=options.jobs,
+    ):
+        completed: dict[int, Any] = {}
+        tasks: list[_PoolTask] = []
+        for shard in shards:
+            if checkpoint is not None:
+                hit, chunk = checkpoint.get(shard.start, shard.stop)
+                if hit:
+                    completed[shard.index] = chunk
+                    continue
+            tasks.append(
+                _PoolTask(key=shard.index, stream=shard.start,
+                          args=(shard.start, shard.stop))
+            )
+
+        # Inline chunks run one at a time, each through all its
+        # attempts, so "raise" stops at the first exhausted chunk
+        # without running the rest.
+        failures: list[_TaskFailure] = []
+        for batch in [[task] for task in tasks] if inline else [tasks]:
+            results, failed = engine(batch, retry=options.retries)
+            completed.update(results)
+            failures.extend(failed)
+            if failed and options.on_error == "raise":
+                break
+
+        if failures:
+            failures.sort(key=lambda failure: failure.key)
+            first = failures[0]
+            raising = options.on_error == "raise"
+            if raising or not completed:
+                _raise_exhausted(
+                    shard_by_index[first.key],
+                    first,
+                    raw=raising and options.retries.max_attempts == 1,
+                )
+        elif checkpoint is not None:
+            checkpoint.complete()
+        chunks = [completed[index] for index in sorted(completed)]
+        result = chunks if combine is None else combine(chunks)
+        report = FailureReport(
+            failures=tuple(
+                _chunk_failure(shard_by_index[failure.key], failure)
+                for failure in failures
+            ),
+            num_chunks=len(shards),
+        )
+        return result, report
+
+
+def _run_batch(
+    kernel: Callable[[Any, int, int], Any],
+    payload: Any,
+    size: int,
+    options: ExecOptions,
+    *,
+    combine: "Callable[[Sequence[Any]], Any]",
+    **span: Any,
+) -> "tuple[Any, FailureReport]":
+    """A sweep runner's sharded run of ``size`` scenarios, in its span.
+
+    Plans the shards from ``options`` and runs them inside a ``batch``
+    span labelled with ``span``; returns ``(result, report)`` for the
+    runner to finish at its public boundary.
+    """
+    plan = ShardPlan.plan(size, options.chunk_size, options.jobs)
+    with active_recorder().span("batch", **span):
+        return _run_sharded(kernel, payload, plan, options, combine=combine)
+
+
 def run_sharded(
     kernel: Callable[[Any, int, int], Any],
     payload: Any,
     plan: ShardPlan,
     *,
-    jobs: int = 1,
     combine: "Callable[[Sequence[Any]], Any] | None" = None,
-    retries: "RetryPolicy | int | None" = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: "CheckpointStore | None" = None,
     faults: "FaultSpec | None" = None,
+    **options: Any,
 ) -> Any:
     """Run ``kernel`` over every shard of ``plan`` and reduce the chunks.
 
@@ -642,145 +711,23 @@ def run_sharded(
     itself is returned. Because every sharded runner derives
     per-scenario state from global scenario records, the combined
     result is bit-identical to a monolithic run for any
-    ``jobs``/``chunk_size`` — and, via the retry machinery below, for
-    any schedule of recovered faults.
+    ``jobs``/``chunk_size`` — and, via the retry machinery, for any
+    schedule of recovered faults.
 
-    Fault tolerance:
-
-    - ``retries`` — a :class:`~repro.exec.retry.RetryPolicy`, an int
-      (that many retries after the first attempt), or ``None`` (one
-      attempt). Backoff is deterministic (seeded jitter, no wall-clock
-      randomness).
-    - ``timeout`` — per-chunk wall-clock seconds; a chunk running past
-      it is charged a failed attempt and its pool is rebuilt. Requires
-      ``jobs > 1``: inline chunks run on the calling thread and cannot
-      be cancelled.
-    - ``on_error`` — ``"raise"`` (default) surfaces the first
-      exhausted chunk: with no retry budget the chunk's own exception
-      propagates unchanged (the pre-fault-tolerance contract), with
-      retries armed it is a structured
-      :class:`~repro.errors.ChunkFailedError`. ``"skip"`` returns
-      ``(partial_result, FailureReport)`` instead, raising only if
-      *no* chunk completed at all.
-    - ``checkpoint`` — a :class:`~repro.exec.checkpoint.CheckpointStore`;
-      finished chunks are persisted as they land (multi-chunk plans
-      only), prefilled from the store when it was opened in consume
-      mode, and discarded after a fully successful run.
-    - ``faults`` — an explicit
-      :class:`~repro.exec.faults.FaultSpec`; defaults to whatever
-      :func:`~repro.exec.faults.active_fault_spec` resolves (installed
-      spec, then the ``REPRO_FAULTS`` environment variable).
+    ``options`` are the :class:`~repro.exec.options.ExecOptions`
+    settings except ``chunk_size``, which ``plan`` already fixes; the
+    return value follows their contract: the combined result, or
+    ``(partial_result, FailureReport)`` under ``on_error="skip"``.
+    ``faults`` is an explicit :class:`~repro.exec.faults.FaultSpec`;
+    by default :func:`~repro.exec.faults.active_fault_spec` resolves
+    one (installed spec, then the ``REPRO_FAULTS`` environment
+    variable).
     """
-    if jobs <= 0:
-        raise ExecutionError(f"job count must be positive, got {jobs}")
-    if on_error not in ("raise", "skip"):
-        raise ExecutionError(
-            f"on_error must be 'raise' or 'skip', got {on_error!r}"
+    options = ExecOptions(**options)
+    if options.chunk_size is not None:
+        raise TypeError("run_sharded() takes its chunk_size from the plan")
+    return options.finish(
+        *_run_sharded(
+            kernel, payload, plan, options, combine=combine, faults=faults
         )
-    retry = RetryPolicy.coerce(retries)
-    if timeout is not None:
-        if timeout <= 0:
-            raise ExecutionError(
-                f"per-chunk timeout must be positive, got {timeout}"
-            )
-        if jobs == 1:
-            raise ExecutionError(
-                "a per-chunk timeout needs jobs > 1: inline chunks run on "
-                "the calling thread and cannot be cancelled"
-            )
-    spec = active_fault_spec(faults)
-    if spec is not None and not spec:
-        spec = None
-    name = kernel_name(kernel)
-    shards = plan.shards()
-    shard_by_index = {shard.index: shard for shard in shards}
-    use_checkpoint = checkpoint is not None and len(shards) > 1
-    recorder = active_recorder()
-
-    with recorder.span(
-        "sharded_run",
-        kernel=name,
-        scenarios=plan.num_scenarios,
-        chunks=len(shards),
-        jobs=jobs,
-    ):
-        completed: dict[int, Any] = {}
-        to_run: list[Shard] = []
-        for shard in shards:
-            if use_checkpoint:
-                hit, chunk = checkpoint.get(shard.start, shard.stop)
-                if hit:
-                    completed[shard.index] = chunk
-                    continue
-            to_run.append(shard)
-
-        failures: list[_TaskFailure] = []
-        if jobs == 1 or (len(shards) == 1 and timeout is None):
-            for shard in to_run:
-                chunk, failure = _run_chunk_inline(
-                    kernel, payload, shard, retry=retry, spec=spec
-                )
-                if failure is None:
-                    completed[shard.index] = chunk
-                    if use_checkpoint:
-                        checkpoint.put(shard.start, shard.stop, chunk)
-                else:
-                    if on_error == "raise":
-                        _raise_exhausted(shard, failure, retry)
-                    failures.append(failure)
-        elif to_run:
-            def postprocess(task: _PoolTask, raw: Any) -> Any:
-                shard = shard_by_index[task.key]
-                chunk = _open_envelope(raw, start=shard.start, stop=shard.stop)
-                if use_checkpoint:
-                    checkpoint.put(shard.start, shard.stop, chunk)
-                return chunk
-
-            tasks = [
-                _PoolTask(key=shard.index, stream=shard.start,
-                          args=(shard.start, shard.stop))
-                for shard in to_run
-            ]
-            results, failures = _run_pool_tasks(
-                tasks,
-                task_fn=_worker_chunk,
-                workers=min(jobs, len(to_run)),
-                retry=retry,
-                timeout=timeout,
-                initializer=_worker_init,
-                initargs=(name, payload, spec, recorder.enabled),
-                postprocess=postprocess,
-            )
-            completed.update(results)
-
-        if failures:
-            failures.sort(key=lambda failure: failure.key)
-            if on_error == "raise":
-                first = failures[0]
-                _raise_exhausted(shard_by_index[first.key], first, retry)
-            if not completed:
-                first = failures[0]
-                _raise_chunk_failed(shard_by_index[first.key], first)
-        if use_checkpoint and not failures:
-            # complete() wipes the spec's whole namespace — catching
-            # stale entries an earlier geometry left — where a
-            # plan-shaped discard() only covers this run's ranges.
-            complete = getattr(checkpoint, "complete", None)
-            if complete is not None:
-                complete()
-            else:
-                checkpoint.discard(
-                    (shard.start, shard.stop) for shard in shards
-                )
-        chunks = [completed[index] for index in sorted(completed)]
-        result = chunks if combine is None else combine(chunks)
-        if on_error == "skip":
-            report = FailureReport(
-                failures=tuple(
-                    _chunk_failure(shard_by_index[failure.key], failure)
-                    for failure in failures
-                ),
-                num_chunks=len(shards),
-            )
-            return result, report
-        return result
+    )

@@ -14,9 +14,8 @@ bit-identical for any chunk/job geometry by construction — and the
 driver reduces over devices with :func:`math.fsum`. ``fsum`` is exactly
 rounded, so fleet aggregates are not merely reproducible but
 *permutation-invariant* over the device axis and independent of chunk
-geometry, down to the last bit. The fault-tolerance knobs
-(``retries``/``timeout``/``on_error``/``checkpoint``) forward to
-:func:`repro.exec.run_sharded` unchanged.
+geometry, down to the last bit. Both runners take the
+:class:`repro.exec.ExecOptions` settings as keywords.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ import numpy as np
 
 from ..analysis.uncertainty import is_distribution
 from ..errors import SimulationError
-from ..exec import ShardPlan, run_sharded
-from ..obs.recorder import active_recorder
+from ..exec import ExecOptions
+from ..exec.runner import _run_batch
 from ..scenarios.runner import (
     _attach_axes,
     _reject_distribution_values,
@@ -180,13 +179,7 @@ def _portfolio_table(
 def sweep_portfolio(
     catalog: Iterable[DeviceSpec],
     scenarios: Iterable[Mapping[str, Any]],
-    *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> Table:
     """Run a device catalog through a scenario grid, fleet-aggregated.
 
@@ -198,13 +191,14 @@ def sweep_portfolio(
     Scenario axes override any numeric :class:`DeviceSpec` field (plus
     the ``node`` name) fleet-wide.
 
-    ``jobs``/``chunk_size`` shard the *device* axis through
-    :func:`repro.exec.run_sharded`; results are element-identical for
-    every geometry and invariant under catalog permutation (exactly
-    rounded device sums). Under ``on_error="skip"`` the return value
-    becomes a ``(Table, FailureReport)`` pair aggregating only the
-    devices whose chunks survived.
+    ``options`` are the :class:`repro.exec.ExecOptions` settings;
+    ``jobs``/``chunk_size`` shard the *device* axis, and results are
+    element-identical for every geometry and invariant under catalog
+    permutation (exactly rounded device sums). Under
+    ``on_error="skip"`` the table aggregates only the devices whose
+    chunks survived.
     """
+    options = ExecOptions(**options)
     specs = tuple(catalog)
     if not specs:
         raise SimulationError("need at least one device in the portfolio")
@@ -212,29 +206,12 @@ def sweep_portfolio(
     _reject_distribution_values(records)
     _validate_axis_names(records)
     keep = _scalar_axis_names(records)
-    plan = ShardPlan.plan(len(specs), chunk_size, jobs)
-    payload = (specs, records)
-    with active_recorder().span(
-        "batch",
-        fn="sweep_portfolio",
-        scenarios=len(records),
-        devices=len(specs),
-    ):
-        result = run_sharded(
-            _portfolio_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=Table.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
-        )
-    if isinstance(result, tuple):
-        detail, report = result
-        return _portfolio_table(detail, records, keep), report
-    return _portfolio_table(result, records, keep)
+    detail, report = _run_batch(
+        _portfolio_chunk, (specs, records), len(specs), options,
+        combine=Table.concat,
+        fn="sweep_portfolio", scenarios=len(records), devices=len(specs),
+    )
+    return options.finish(_portfolio_table(detail, records, keep), report)
 
 
 def _portfolio_uncertain_result(
@@ -262,12 +239,7 @@ def sweep_portfolio_uncertain(
     *,
     draws: int = 256,
     seed: int = 0,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> UncertainResult:
     """Portfolio sweep with distribution-tagged scenario axes.
 
@@ -281,10 +253,11 @@ def sweep_portfolio_uncertain(
     devices with exactly rounded sums, giving a
     :class:`~repro.uncertainty.UncertainResult` whose
     :data:`PORTFOLIO_METRICS` samples are bit-identical for every
-    ``jobs``/``chunk_size`` geometry (the *device* axis is what
-    shards). Under ``on_error="skip"`` returns an
-    ``(UncertainResult, FailureReport)`` pair over surviving devices.
+    ``jobs``/``chunk_size`` geometry of the
+    :class:`repro.exec.ExecOptions` settings (the *device* axis is what
+    shards).
     """
+    options = ExecOptions(**options)
     specs = tuple(catalog)
     if not specs:
         raise SimulationError("need at least one device in the portfolio")
@@ -293,30 +266,12 @@ def sweep_portfolio_uncertain(
     if draws <= 0:
         raise SimulationError("draw count must be positive")
     kept = _kept_axis_names(records)
-    plan = ShardPlan.plan(len(specs), chunk_size, jobs)
-    payload = (specs, records, draws, seed)
-    with active_recorder().span(
-        "batch",
-        fn="sweep_portfolio_uncertain",
-        scenarios=len(records),
-        draws=draws,
+    detail, report = _run_batch(
+        _portfolio_uncertain_chunk, (specs, records, draws, seed), len(specs),
+        options, combine=Table.concat,
+        fn="sweep_portfolio_uncertain", scenarios=len(records), draws=draws,
         devices=len(specs),
-    ):
-        result = run_sharded(
-            _portfolio_uncertain_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=Table.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
-        )
-    if isinstance(result, tuple):
-        detail, report = result
-        return (
-            _portfolio_uncertain_result(detail, records, kept, draws, seed),
-            report,
-        )
-    return _portfolio_uncertain_result(result, records, kept, draws, seed)
+    )
+    return options.finish(
+        _portfolio_uncertain_result(detail, records, kept, draws, seed), report
+    )

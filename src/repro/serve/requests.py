@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..errors import ServiceError
-from ..exec import ShardPlan, run_sharded
+from ..exec import ExecOptions, ShardPlan
+from ..exec.runner import _run_sharded
 from ..tabular import Table
 
 __all__ = [
@@ -87,6 +88,13 @@ class Request:
             # kernel call.
             return ("portfolio", tuple(name for name, _ in self.overrides))
         return ("scenario",)
+
+    @property
+    def sweep_parts(self) -> tuple:
+        """A sweep request's spec: its cache key and checkpoint namespace."""
+        if self.draws is None:
+            return ("sweep", self.sweep_name, "point")
+        return ("sweep", self.sweep_name, self.draws, self.seed)
 
     @property
     def override_mapping(self) -> dict[str, Any]:
@@ -213,21 +221,6 @@ def _surviving_indices(total: int, report: Any) -> list[int]:
     return [index for index in range(total) if index not in lost]
 
 
-def _scenario_chunk(payload: tuple, start: int, stop: int) -> Table:
-    """Chunk kernel: coalesced scenario requests ``[start, stop)``.
-
-    Module-level so pool workers can import it by name. The
-    ``scenario`` index column is dropped *inside* the chunk so the
-    response schema carries no trace of batch geometry.
-    """
-    from ..datacenter.fleet import simulate_fleet_batch
-    from ..scenarios.runner import apply_overrides
-
-    base, records = payload
-    params = [apply_overrides(base, record) for record in records[start:stop]]
-    return simulate_fleet_batch(params).final_year_table().drop("scenario")
-
-
 #: Metric columns of a portfolio response row — a fixed schema, never
 #: the batch-dependent axis columns ``sweep_portfolio`` would attach.
 _PORTFOLIO_COLUMNS = (
@@ -242,45 +235,34 @@ _PORTFOLIO_COLUMNS = (
 )
 
 
-def _exec_options(options: Mapping[str, Any]) -> dict[str, Any]:
-    """Sharding/fault-tolerance kwargs for the sweep runners."""
-    forwarded = dict(options)
-    if forwarded.get("jobs", 1) == 1:
-        # Inline chunks cannot be cancelled; run_sharded rejects the
-        # combination, so an unusable timeout is elided rather than
-        # turned into a request-killing error.
-        forwarded.pop("timeout", None)
-    return forwarded
-
-
 def _execute_scenarios(
-    requests: Sequence[Request], options: Mapping[str, Any]
+    requests: Sequence[Request], options: ExecOptions
 ) -> list[Response]:
-    """One ``simulate_fleet_batch`` call for N scenario requests."""
+    """One ``simulate_fleet_batch`` call for N scenario requests.
+
+    The fleet sweep's chunk kernel with no axis columns kept emits
+    exactly the metric columns, so the response schema carries no
+    trace of batch geometry.
+    """
     from ..scenarios.presets import facebook_like_fleet
+    from ..scenarios.runner import _fleet_chunk
 
     records = [request.override_mapping for request in requests]
-    forwarded = _exec_options(options)
-    plan = ShardPlan.plan(
-        len(records), forwarded.pop("chunk_size", None),
-        forwarded.get("jobs", 1),
-    )
-    result = run_sharded(
-        _scenario_chunk,
-        (facebook_like_fleet(), records),
+    plan = ShardPlan.plan(len(records), options.chunk_size, options.jobs)
+    table, report = _run_sharded(
+        _fleet_chunk,
+        (facebook_like_fleet(), records, None, ()),
         plan,
+        options,
         combine=Table.concat,
-        **forwarded,
     )
-    degraded = isinstance(result, tuple)
-    table, report = result if degraded else (result, None)
     rows = _rows(table, table.column_names)
-    responses = []
-    if degraded:
+    if options.on_error == "skip":
         survivors = {
             index: row
             for index, row in zip(_surviving_indices(len(records), report), rows)
         }
+        responses = []
         for index, request in enumerate(requests):
             row = survivors.get(index)
             if row is None:
@@ -297,35 +279,29 @@ def _execute_scenarios(
 
 
 def _execute_portfolio(
-    requests: Sequence[Request], options: Mapping[str, Any]
+    requests: Sequence[Request], options: ExecOptions
 ) -> list[Response]:
     """One ``sweep_portfolio`` call for N same-shaped cell requests."""
     from ..portfolio import default_catalog, sweep_portfolio
 
     records = [request.override_mapping for request in requests]
-    result = sweep_portfolio(
-        default_catalog(), records, **_exec_options(options)
+    table, report = options.split(
+        sweep_portfolio(default_catalog(), records, **options)
     )
-    degraded = isinstance(result, tuple)
-    table, report = result if degraded else (result, None)
     rows = _rows(table, _PORTFOLIO_COLUMNS)
     # The portfolio shards its *device* axis: a skipped chunk loses
     # devices, not scenarios, so every request keeps a row — computed
     # over the surviving devices and flagged degraded.
     return [
         _ok_response(
-            request, row=row, degraded=degraded,
-            report=report if degraded else None,
+            request, row=row, degraded=report is not None, report=report
         )
         for request, row in zip(requests, rows)
     ]
 
 
 def _execute_sweep(
-    requests: Sequence[Request],
-    options: Mapping[str, Any],
-    cache: Any,
-    checkpoint_factory: Any,
+    requests: Sequence[Request], options: ExecOptions, cache: Any
 ) -> list[Response]:
     """One named-sweep execution answering every coalesced duplicate.
 
@@ -337,13 +313,7 @@ def _execute_sweep(
     from ..scenarios.runner import run_sweep, run_uncertain_sweep
 
     spec = requests[0]
-    if spec.draws is None:
-        key = cache_key("sweep", spec.sweep_name, "point", package_fingerprint())
-    else:
-        key = cache_key(
-            "sweep", spec.sweep_name, spec.draws, spec.seed,
-            package_fingerprint(),
-        )
+    key = cache_key(*spec.sweep_parts, package_fingerprint())
     cached = False
     report = None
     outcome = None
@@ -352,18 +322,14 @@ def _execute_sweep(
         if value is not _MISS:
             outcome, cached = value, True
     if outcome is None:
-        forwarded = _exec_options(options)
-        if cache is not None and checkpoint_factory is not None:
-            forwarded["checkpoint"] = checkpoint_factory(spec)
         if spec.draws is None:
-            result = run_sweep(spec.sweep_name, **forwarded)
+            result = run_sweep(spec.sweep_name, **options)
         else:
             result = run_uncertain_sweep(
-                spec.sweep_name, spec.draws, spec.seed, **forwarded
+                spec.sweep_name, spec.draws, spec.seed, **options
             )
-        degraded = isinstance(result, tuple)
-        outcome, report = result if degraded else (result, None)
-        if cache is not None and not degraded:
+        outcome, report = options.split(result)
+        if cache is not None and report is None:
             cache.put(key, outcome)
     table = (
         outcome if isinstance(outcome, Table) else outcome.quantile_table()
@@ -422,17 +388,15 @@ def _lost_row_response(request: Request, report: Any) -> Response:
 def execute_group(
     requests: Sequence[Request],
     *,
-    options: Mapping[str, Any],
+    options: "ExecOptions | Mapping[str, Any]",
     cache: Any = None,
-    checkpoint_factory: Any = None,
 ) -> list[Response]:
     """Answer one coalesced batch (equal group keys) with one kernel call.
 
-    ``options`` are :func:`repro.exec.run_sharded` keywords (``jobs``,
-    ``chunk_size``, ``retries``, ``timeout``, ``on_error``); ``cache``
-    is the shared :class:`~repro.exec.ResultCache` for sweep requests
-    and ``checkpoint_factory(request)`` builds their
-    :class:`~repro.exec.CheckpointStore`. Returns one
+    ``options`` are the batch's :class:`repro.exec.ExecOptions` (or its
+    keyword form as a mapping), including any sweep checkpoint store;
+    ``cache`` is the shared :class:`~repro.exec.ResultCache` for sweep
+    requests. Returns one
     :class:`Response` per request, in request order. Raises whatever
     the kernels raise — the service layer owns translating failures
     into degraded retries or error responses.
@@ -442,8 +406,9 @@ def execute_group(
     kind = requests[0].kind
     if any(request.group_key != requests[0].group_key for request in requests):
         raise ServiceError("a batch must share one group key")
+    options = ExecOptions(**options)
     if kind == "scenario":
         return _execute_scenarios(requests, options)
     if kind == "portfolio":
         return _execute_portfolio(requests, options)
-    return _execute_sweep(requests, options, cache, checkpoint_factory)
+    return _execute_sweep(requests, options, cache)

@@ -28,11 +28,13 @@ Failure behavior is the design center:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import time
 from typing import Any, Callable, Sequence
 
 from ..errors import ServiceError
+from ..exec import ExecOptions
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import _update_metrics, active_recorder
 from .batcher import DrainingError, MicroBatcher, OverloadedError
@@ -271,34 +273,33 @@ class SweepService:
     # ------------------------------------------------------------------
     # Batch execution
 
-    def _exec_options(self, budget_s: "float | None") -> dict[str, Any]:
-        budgets = [
-            value
-            for value in (budget_s, self.config.timeout_s)
-            if value is not None
-        ]
-        options: dict[str, Any] = {
-            "jobs": self.config.jobs,
-            "chunk_size": self.config.chunk_size,
-            "retries": self.config.retries or None,
-            "on_error": "raise",
-        }
-        if budgets:
-            options["timeout"] = min(budgets)
-        return options
+    def _run_group(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        requests: Sequence[Request],
+        options: ExecOptions,
+    ) -> "asyncio.Future[list[Response]]":
+        """Answer one batch under ``options`` on a kernel thread.
 
-    def _checkpoint_factory(self, request: Request) -> Any:
-        """A consume-mode checkpoint store for one sweep request."""
-        from ..exec.checkpoint import CheckpointStore
+        With the cache armed, a sweep batch also resumes from (and
+        leaves) chunk checkpoints in its spec's consume-mode store.
+        """
+        if requests[0].kind == "sweep" and self._cache is not None:
+            from ..exec.checkpoint import CheckpointStore
 
-        if request.draws is None:
-            spec_parts: "tuple[Any, ...]" = ("sweep", request.sweep_name, "point")
-        else:
-            spec_parts = (
-                "sweep", request.sweep_name, request.draws, request.seed,
+            options = dataclasses.replace(
+                options,
+                checkpoint=CheckpointStore(
+                    self.config.cache_dir,
+                    spec_parts=requests[0].sweep_parts,
+                    consume=True,
+                ),
             )
-        return CheckpointStore(
-            self.config.cache_dir, spec_parts=spec_parts, consume=True
+        return loop.run_in_executor(
+            None,
+            lambda: execute_group(
+                list(requests), options=options, cache=self._cache
+            ),
         )
 
     async def _execute_batch(
@@ -317,20 +318,25 @@ class SweepService:
             breaker=self.breaker.state if not primary_allowed else "closed",
         ):
             if primary_allowed:
+                budgets = [
+                    value
+                    for value in (budget_s, self.config.timeout_s)
+                    if value is not None
+                ]
                 try:
-                    responses = await loop.run_in_executor(
-                        None,
-                        lambda: execute_group(
-                            list(requests),
-                            options=self._exec_options(budget_s),
-                            cache=self._cache,
-                            checkpoint_factory=(
-                                self._checkpoint_factory
-                                if self._cache is not None
-                                else None
-                            ),
+                    # Inline chunks cannot be cancelled, so the tightest
+                    # budget becomes a per-chunk timeout only in a pool.
+                    options = ExecOptions(
+                        jobs=self.config.jobs,
+                        chunk_size=self.config.chunk_size,
+                        retries=self.config.retries or None,
+                        timeout=(
+                            min(budgets)
+                            if budgets and self.config.jobs > 1
+                            else None
                         ),
                     )
+                    responses = await self._run_group(loop, requests, options)
                 except Exception as error:
                     if not is_infrastructure_error(error):
                         raise  # batcher answers the batch with 500s
@@ -354,26 +360,13 @@ class SweepService:
         cause: "BaseException | None",
     ) -> list[Response]:
         """The fallback path: inline execution, skip-and-report semantics."""
-        options = {
-            "jobs": 1,
-            "chunk_size": self.config.chunk_size,
-            "retries": self.config.retries or None,
-            "on_error": "skip",
-        }
+        options = ExecOptions(
+            chunk_size=self.config.chunk_size,
+            retries=self.config.retries or None,
+            on_error="skip",
+        )
         try:
-            responses = await loop.run_in_executor(
-                None,
-                lambda: execute_group(
-                    list(requests),
-                    options=options,
-                    cache=self._cache,
-                    checkpoint_factory=(
-                        self._checkpoint_factory
-                        if self._cache is not None
-                        else None
-                    ),
-                ),
-            )
+            responses = await self._run_group(loop, requests, options)
         except Exception as error:
             detail = repr(cause) if cause is not None else repr(error)
             return [

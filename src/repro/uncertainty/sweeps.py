@@ -13,18 +13,14 @@ over the scalar simulators: for every scenario the batched runners
 produce the *same floats* it would (same seed discipline, same metric
 arithmetic), pinned by ``tests/test_uncertain_sweep_equivalence.py``.
 
-Every runner accepts ``jobs=``/``chunk_size=`` and shards its scenario
-axis through :func:`repro.exec.run_sharded`. Because each scenario
-draws from its own ``default_rng(seed)`` stream (see
-:mod:`repro.uncertainty.draws`), a chunk's draw matrix is exactly the
-corresponding rows of the monolithic one, so sharded uncertain sweeps
-stay bit-identical to monolithic runs under any chunk/job count.
-
-Like the deterministic runners, each sweep also forwards the
-fault-tolerance knobs — ``retries``/``timeout``/``on_error``/
-``checkpoint`` — to :func:`repro.exec.run_sharded`, so uncertain
-sweeps survive worker crashes and hangs and resume from chunk
-checkpoints with the same bit-identity guarantee.
+Every runner takes the :class:`repro.exec.ExecOptions` settings as
+keywords and shards its scenario axis through
+:func:`repro.exec.run_sharded`. Because each scenario draws from its
+own ``default_rng(seed)`` stream (see :mod:`repro.uncertainty.draws`),
+a chunk's draw matrix is exactly the corresponding rows of the
+monolithic one, so sharded uncertain sweeps stay bit-identical to
+monolithic runs under any chunk/job count — and across recovered
+worker failures and resumed checkpoints.
 """
 
 from __future__ import annotations
@@ -44,8 +40,8 @@ from ..datacenter.heterogeneity import (
     provision_homogeneous_batch,
 )
 from ..errors import SimulationError
-from ..exec import ShardPlan, run_sharded
-from ..obs.recorder import active_recorder
+from ..exec import ExecOptions
+from ..exec.runner import _run_batch
 from ..scenarios.runner import OverridePlan, _scalar_axis_names, apply_overrides
 from ..tabular import Table
 from ..units import CarbonIntensity
@@ -229,12 +225,7 @@ def sweep_fleet_uncertain(
     draws: int = 256,
     seed: int = 0,
     embodied: EmbodiedModel | None = None,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> UncertainResult:
     """Fleet sweep with distribution-tagged parameters.
 
@@ -245,8 +236,9 @@ def sweep_fleet_uncertain(
     :class:`~repro.scenarios.runner.OverridePlan`, and one
     :func:`~repro.datacenter.fleet.simulate_fleet_batch` call scores
     them all per chunk. Metrics are the final simulated year's fleet
-    columns. ``jobs``/``chunk_size`` shard the scenario axis; peak
-    kernel memory is bounded by ``chunk_size × draws`` parameter sets
+    columns. ``options`` are the :class:`repro.exec.ExecOptions`
+    settings; ``jobs``/``chunk_size`` shard the scenario axis, peak
+    kernel memory is bounded by ``chunk_size × draws`` parameter sets,
     and the samples are bit-identical for every configuration.
 
     Non-finite samples raise, mirroring the scalar ``monte_carlo``
@@ -254,26 +246,14 @@ def sweep_fleet_uncertain(
     designed "market opex fully eliminated" sentinel and flows into
     the quantile columns as an ordinary order statistic.
     """
+    options = ExecOptions(**options)
     records = _check_records(list(scenarios))
-    plan = ShardPlan.plan(len(records), chunk_size, jobs)
     payload = (base, records, draws, seed, embodied, _kept_axis_names(records))
-    with active_recorder().span(
-        "batch",
-        fn="sweep_fleet_uncertain",
-        scenarios=len(records),
-        draws=draws,
-    ):
-        return run_sharded(
-            _fleet_uncertain_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=UncertainResult.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
-        )
+    return options.finish(*_run_batch(
+        _fleet_uncertain_chunk, payload, len(records), options,
+        combine=UncertainResult.concat,
+        fn="sweep_fleet_uncertain", scenarios=len(records), draws=draws,
+    ))
 
 
 def _axis_values(name: str, axis: Any) -> list[Any]:
@@ -350,22 +330,19 @@ def sweep_provisioning_uncertain(
     seed: int = 0,
     grid: CarbonIntensity | None = None,
     model: EmbodiedModel | None = None,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> UncertainResult:
     """Provisioning sweep with uncertain targets and demand forecasts.
 
     Axes may mix point values and distribution tags (a log-normal
     demand scale is the canonical case). The (scenarios × draws) axis
     goes straight into the array-valued provisioning kernels — the
-    draw axis needs no dataclass expansion at all here.
-    ``jobs``/``chunk_size`` shard the scenario axis with bit-identical
-    samples (per-scenario seeded draw streams).
+    draw axis needs no dataclass expansion at all here. ``options``
+    are the :class:`repro.exec.ExecOptions` settings; sharding the
+    scenario axis keeps the samples bit-identical (per-scenario seeded
+    draw streams).
     """
+    options = ExecOptions(**options)
     grid = grid or US_GRID.intensity
     model = model or EmbodiedModel()
     targets = _axis_values("utilization_targets", utilization_targets)
@@ -375,7 +352,6 @@ def sweep_provisioning_uncertain(
         for target in targets
         for scale in scales
     ]
-    plan = ShardPlan.plan(len(records), chunk_size, jobs)
     payload = (
         tuple(workloads),
         general,
@@ -387,23 +363,11 @@ def sweep_provisioning_uncertain(
         model,
         _kept_axis_names(records),
     )
-    with active_recorder().span(
-        "batch",
-        fn="sweep_provisioning_uncertain",
-        scenarios=len(records),
-        draws=draws,
-    ):
-        return run_sharded(
-            _provisioning_uncertain_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=UncertainResult.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
-        )
+    return options.finish(*_run_batch(
+        _provisioning_uncertain_chunk, payload, len(records), options,
+        combine=UncertainResult.concat,
+        fn="sweep_provisioning_uncertain", scenarios=len(records), draws=draws,
+    ))
 
 
 def _shifting_uncertain_chunk(
@@ -470,12 +434,7 @@ def sweep_temporal_shifting_uncertain(
     capacity_kw: float = 2500.0,
     draws: int = 8,
     seed: int = 0,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> UncertainResult:
     """Carbon-aware scheduling bands across weather/demand noise draws.
 
@@ -485,10 +444,12 @@ def sweep_temporal_shifting_uncertain(
     through one batched :func:`~repro.traces.evaluate_policies` call
     per chunk — a draw is literally one more trace row in the
     evaluator's matrix — and come back as (region × workload × policy)
-    scenarios with per-draw samples. ``jobs``/``chunk_size`` shard the
-    *region* axis; noisy-trace seeds depend only on the draw index, so
-    sharded samples are bit-identical.
+    scenarios with per-draw samples. ``options`` are the
+    :class:`repro.exec.ExecOptions` settings; ``jobs``/``chunk_size``
+    shard the *region* axis, and noisy-trace seeds depend only on the
+    draw index, so sharded samples are bit-identical.
     """
+    options = ExecOptions(**options)
     if hours < 48:
         raise SimulationError(
             "the temporal-shifting sweep's workloads span two days; "
@@ -497,22 +458,10 @@ def sweep_temporal_shifting_uncertain(
     if draws <= 0:
         raise SimulationError("draw count must be positive")
     regions = region_names()
-    plan = ShardPlan.plan(len(regions), chunk_size, jobs)
     payload = (tuple(regions), hours, capacity_kw, draws, seed)
-    with active_recorder().span(
-        "batch",
-        fn="sweep_temporal_shifting_uncertain",
-        scenarios=len(regions),
+    return options.finish(*_run_batch(
+        _shifting_uncertain_chunk, payload, len(regions), options,
+        combine=UncertainResult.concat,
+        fn="sweep_temporal_shifting_uncertain", scenarios=len(regions),
         draws=draws,
-    ):
-        return run_sharded(
-            _shifting_uncertain_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=UncertainResult.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
-        )
+    ))

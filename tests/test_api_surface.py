@@ -82,6 +82,46 @@ def test_public_callables_have_docstrings(module_name):
             assert member.__doc__, f"{module_name}.{name} lacks a docstring"
 
 
+#: Packages whose runners take the execution settings as ``**options``.
+_EXEC_PACKAGES = (
+    "repro.scenarios",
+    "repro.uncertainty",
+    "repro.portfolio",
+    "repro.traces",
+    "repro.exec",
+)
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    [
+        name
+        for name in _all_modules()
+        if name.startswith(_EXEC_PACKAGES)
+    ],
+)
+def test_execution_settings_declared_only_by_exec_options(module_name):
+    # One options value, not per-runner copies: a public function that
+    # declares its own retries/timeout/on_error/checkpoint parameter is
+    # the plumbing growing back one signature at a time.
+    from repro.exec import ExecOptions
+
+    settings = {"retries", "timeout", "on_error", "checkpoint"}
+    module = importlib.import_module(module_name)
+    for name, member in vars(module).items():
+        if name.startswith("_") or member is ExecOptions:
+            continue
+        if getattr(member, "__module__", None) != module_name:
+            continue
+        target = member.__init__ if inspect.isclass(member) else member
+        if inspect.isfunction(target):
+            declared = settings & set(inspect.signature(target).parameters)
+            assert not declared, (
+                f"{module_name}.{name} declares {sorted(declared)}; take "
+                "them as **options and build one ExecOptions"
+            )
+
+
 def test_version_is_exposed():
     assert repro.__version__ == "1.1.0"
 

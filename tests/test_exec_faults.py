@@ -48,6 +48,73 @@ def _flat(chunks):
     return [value for chunk in chunks for value in chunk]
 
 
+def _public_runners():
+    """Every public runner taking the execution settings, called cheaply."""
+    from repro.portfolio import (
+        default_catalog,
+        sweep_portfolio,
+        sweep_portfolio_uncertain,
+    )
+    from repro.scenarios import (
+        example_service_mix,
+        facebook_like_fleet,
+        run_sweep,
+        run_uncertain_sweep,
+        sweep_fleet,
+        sweep_provisioning,
+        sweep_temporal_shifting,
+    )
+    from repro.traces import canonical_workloads, evaluate_policies, profile_catalog
+    from repro.uncertainty import (
+        sweep_fleet_uncertain,
+        sweep_provisioning_uncertain,
+        sweep_temporal_shifting_uncertain,
+    )
+
+    cell = [{"lifetime_years": 3.0}]
+    return {
+        "run_sharded": lambda **options: run_sharded(
+            _square_chunk, _PAYLOAD, _PLAN, **options
+        ),
+        "sweep_fleet": lambda **options: sweep_fleet(
+            facebook_like_fleet(), [{"utilization": 0.5}], **options
+        ),
+        "sweep_provisioning": lambda **options: sweep_provisioning(
+            *example_service_mix(), **options
+        ),
+        "sweep_temporal_shifting": lambda **options: sweep_temporal_shifting(
+            **options
+        ),
+        "sweep_fleet_uncertain": lambda **options: sweep_fleet_uncertain(
+            facebook_like_fleet(), [{"utilization": 0.5}], draws=2, **options
+        ),
+        "sweep_provisioning_uncertain": lambda **options: (
+            sweep_provisioning_uncertain(
+                *example_service_mix(), draws=2, **options
+            )
+        ),
+        "sweep_temporal_shifting_uncertain": lambda **options: (
+            sweep_temporal_shifting_uncertain(draws=2, **options)
+        ),
+        "sweep_portfolio": lambda **options: sweep_portfolio(
+            default_catalog(), cell, **options
+        ),
+        "sweep_portfolio_uncertain": lambda **options: sweep_portfolio_uncertain(
+            default_catalog(), cell, draws=2, **options
+        ),
+        "evaluate_policies": lambda **options: evaluate_policies(
+            profile_catalog(48), canonical_workloads(), capacity_kw=2500.0,
+            **options,
+        ),
+        "run_sweep": lambda **options: run_sweep(
+            "fleet_growth_lifetime", **options
+        ),
+        "run_uncertain_sweep": lambda **options: run_uncertain_sweep(
+            "fleet_growth_lifetime", 2, **options
+        ),
+    }
+
+
 class TestRetryPolicy:
     def test_coerce(self):
         assert RetryPolicy.coerce(None).max_attempts == 1
@@ -265,14 +332,20 @@ class TestInlineRecovery:
                 faults=spec,
             )
 
-    def test_invalid_options_rejected(self):
+    @pytest.mark.parametrize("runner", sorted(_public_runners()))
+    def test_invalid_options_rejected(self, runner):
+        call = _public_runners()[runner]
         with pytest.raises(ExecutionError):
-            run_sharded(_square_chunk, _PAYLOAD, _PLAN, on_error="ignore")
+            call(on_error="ignore")
         with pytest.raises(ExecutionError):
-            run_sharded(_square_chunk, _PAYLOAD, _PLAN, timeout=-1.0, jobs=2)
+            call(timeout=-1.0, jobs=2)
         with pytest.raises(ExecutionError):
             # Inline chunks cannot be cancelled, so a timeout needs jobs > 1.
-            run_sharded(_square_chunk, _PAYLOAD, _PLAN, timeout=5.0)
+            call(timeout=5.0)
+        # A misspelled execution keyword is a TypeError naming it.
+        for typo in ("chunksize", "on_eror"):
+            with pytest.raises(TypeError, match=typo):
+                call(**{typo: 4})
 
 
 class TestPoolRecovery:
@@ -322,7 +395,8 @@ class TestPoolRecovery:
         )
         assert result == _EXPECTED
 
-    def test_crash_exhaustion_names_the_shard(self):
+    @pytest.mark.parametrize("retries", [None, 1])
+    def test_crash_exhaustion_names_the_shard(self, retries):
         spec = FaultSpec(rules=(FaultRule(kind="crash", starts=(0,), attempts=None),))
         with pytest.raises(ChunkFailedError) as excinfo:
             run_sharded(
@@ -331,7 +405,7 @@ class TestPoolRecovery:
                 _PLAN,
                 jobs=2,
                 combine=_flat,
-                retries=1,
+                retries=retries,
                 faults=spec,
             )
         assert excinfo.value.kind == "crash"
