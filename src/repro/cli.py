@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list                 # experiment ids and titles
     python -m repro run fig10            # one experiment, full render
-    python -m repro run all --parallel --jobs 4   # over a process pool
+    python -m repro run all --jobs 4     # over a process pool
     python -m repro checks               # one-line pass/fail per artifact
     python -m repro sweep fleet_growth_lifetime   # a named scenario sweep
     python -m repro sweep fleet_growth_lifetime --jobs 4 --chunk-size 64
@@ -80,16 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = commands.add_parser("run", help="run one experiment (or 'all')")
     run_parser.add_argument("experiment", help=_experiment_help())
     run_parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="with 'all': run experiments over a process pool",
-    )
-    run_parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="worker processes for --parallel (default: cpu count)",
+        help="with 'all': run the experiments over N worker processes "
+        "(default: 1, inline)",
     )
     _add_fault_arguments(run_parser, unit="experiment")
     _add_cache_arguments(run_parser)
@@ -430,36 +426,22 @@ def _command_list() -> int:
     return 0
 
 
-def _command_run(
-    experiment: str,
-    parallel: bool,
-    jobs: int | None,
-    cache_dir: str | None,
-    retries: int | None,
-    timeout: float | None,
-    on_error: str,
-) -> int:
-    batch_flags = (
-        parallel
-        or jobs is not None
-        or retries is not None
-        or timeout is not None
-        or on_error != "raise"
-    )
-    if experiment != "all" and batch_flags:
+def _command_run(args: argparse.Namespace, cache_dir: "str | None") -> int:
+    experiment = args.experiment
+    batch_flags = (args.jobs, args.retries, args.timeout, args.on_error)
+    if experiment != "all" and batch_flags != (1, None, None, "raise"):
         print(
-            "note: --parallel/--jobs/--retries/--timeout/--on-error only "
-            f"apply to 'run all'; running {experiment} in-process",
+            "note: --jobs/--retries/--timeout/--on-error only apply to "
+            f"'run all'; running {experiment} in-process",
             file=sys.stderr,
         )
     if experiment == "all":
         results = run_all(
-            parallel=parallel,
-            max_workers=jobs,
             cache_dir=cache_dir,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
+            jobs=args.jobs,
+            retries=args.retries,
+            timeout=args.timeout,
+            on_error=args.on_error,
         )
         failures = 0
         for experiment_id, result in results.items():
@@ -499,30 +481,20 @@ def _command_checks() -> int:
 
 def _command_sweep(args: argparse.Namespace, cache_dir: "str | None") -> int:
     """Run one named sweep; exit 1 when chunks were skipped."""
-    from .exec import (
-        CheckpointStore,
-        ExecOptions,
-        ResultCache,
-        cache_key,
-        package_fingerprint,
-    )
+    from .exec import ResultCache
     from .experiments.markdown import markdown_table
     from .report.tables import render_table
-    from .scenarios import SWEEPS, run_sweep, run_uncertain_sweep
-    from .tabular import Table
-    from .uncertainty import UncertainResult
+    from .scenarios import SWEEPS, run_cached_sweep
 
     name, draws, seed, band = args.sweep, args.draws, args.seed, args.band
     markdown = args.markdown
     spec = SWEEPS[name]
-    disk = ResultCache(cache_dir) if cache_dir is not None else None
-    if args.resume and disk is None:
+    if args.resume and cache_dir is None:
         print(
             "error: --resume needs the on-disk cache (drop --no-cache)",
             file=sys.stderr,
         )
         return 2
-
     if draws is None:
         # A deterministic sweep must not silently swallow Monte Carlo
         # flags the user believes are in effect.
@@ -530,45 +502,18 @@ def _command_sweep(args: argparse.Namespace, cache_dir: "str | None") -> int:
             if value is not None:
                 print(f"error: {flag} needs --draws", file=sys.stderr)
                 return 2
-        spec_parts: "tuple[object, ...]" = ("sweep", name, "point")
-        kind: type = Table
-    else:
-        seed_value = seed if seed is not None else 0
-        spec_parts = ("sweep", name, draws, seed_value)
-        kind = UncertainResult
-    # jobs/chunk_size are not part of the key: sharded sweeps are
-    # bit-identical to monolithic ones, so any parallelism level
-    # warm-starts every other.
-    key = (
-        cache_key(*spec_parts, package_fingerprint())
-        if disk is not None
-        else None
+    result, report, _ = run_cached_sweep(
+        name,
+        draws,
+        seed if seed is not None else 0,
+        cache=ResultCache(cache_dir) if cache_dir is not None else None,
+        resume=args.resume,
+        jobs=args.jobs,
+        chunk_size=args.chunk_size,
+        retries=args.retries,
+        timeout=args.timeout,
+        on_error=args.on_error,
     )
-    result = disk.get(key) if disk is not None else None
-    report = None
-    if not isinstance(result, kind):
-        options = ExecOptions(
-            jobs=args.jobs,
-            chunk_size=args.chunk_size,
-            retries=args.retries,
-            timeout=args.timeout,
-            on_error=args.on_error,
-            checkpoint=(
-                CheckpointStore(
-                    cache_dir, spec_parts=spec_parts, consume=args.resume
-                )
-                if disk is not None
-                else None
-            ),
-        )
-        result, report = options.split(
-            run_sweep(name, **options)
-            if draws is None
-            else run_uncertain_sweep(name, draws, seed_value, **options)
-        )
-        # A partial result must never be cached as the sweep's result.
-        if disk is not None and not report:
-            disk.put(key, result)
     if draws is None:
         table = result
         footer = f"{table.num_rows} scenarios, batched kernels"
@@ -764,13 +709,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "run", args.experiment, args.trace_out, args.metrics
             ):
                 return _command_run(
-                    args.experiment,
-                    args.parallel,
-                    args.jobs,
-                    _resolve_cache_dir(args.cache_dir, args.no_cache),
-                    args.retries,
-                    args.timeout,
-                    args.on_error,
+                    args, _resolve_cache_dir(args.cache_dir, args.no_cache)
                 )
         if args.command == "checks":
             return _command_checks()

@@ -58,6 +58,10 @@ class ExecOptions:
     def __post_init__(self) -> None:
         if self.jobs <= 0:
             raise ExecutionError(f"job count must be positive, got {self.jobs}")
+        if self.chunk_size is not None and self.chunk_size <= 0:
+            raise ExecutionError(
+                f"chunk size must be positive, got {self.chunk_size}"
+            )
         if self.on_error not in ("raise", "skip"):
             raise ExecutionError(
                 f"on_error must be 'raise' or 'skip', got {self.on_error!r}"

@@ -288,21 +288,11 @@ class _InlineExecutor:
         """Nothing to release."""
 
 
-@dataclass(frozen=True)
-class _PoolTask:
-    """One unit of pool work: a caller key, a backoff stream, call args."""
-
-    key: Any
-    stream: int
-    args: tuple
-
-
 @dataclass
 class _TaskFailure:
-    """A task that exhausted its retry budget, with its final cause."""
+    """A shard that exhausted its retry budget, with its final cause."""
 
-    key: Any
-    stream: int
+    shard: Shard
     attempts: int
     kind: str
     message: str
@@ -330,7 +320,7 @@ def _abandon_pool(pool: Any) -> None:
 
 
 def _run_pool_tasks(
-    tasks: Sequence[_PoolTask],
+    shards: Sequence[Shard],
     *,
     task_fn: Callable[..., Any],
     workers: int,
@@ -338,45 +328,41 @@ def _run_pool_tasks(
     timeout: "float | None" = None,
     initializer: "Callable[..., None] | None" = None,
     initargs: tuple = (),
-    postprocess: "Callable[[_PoolTask, Any], tuple[Any, dict]] | None" = None,
-    scope: str = "chunk",
+    postprocess: "Callable[[Shard, Any], tuple[Any, dict]] | None" = None,
     inline: bool = False,
-) -> tuple[dict[Any, Any], list[_TaskFailure]]:
+) -> tuple[dict[int, Any], list[_TaskFailure]]:
     """The wave-based fault-tolerant attempt loop.
 
-    Runs ``task_fn(*task.args, attempt)`` for every task across a
-    process pool — or, with ``inline=True``, on the calling thread —
-    retrying failures per ``retry``. Each *wave* owns a fresh
+    Runs ``task_fn(shard.start, shard.stop, attempt)`` for every shard
+    across a process pool — or, with ``inline=True``, on the calling
+    thread — retrying failures per ``retry``. Each *wave* owns a fresh
     executor; a wave ends normally when all its futures resolve, or is
     abandoned when the pool breaks (worker crash) or a chunk runs past
-    ``timeout`` — the unfinished, uncharged tasks roll into the next
-    wave. ``postprocess(task, raw)`` runs driver-side on each completed
-    future (envelope verification, checkpointing) and returns the
-    task's value plus extra fields for its ``ok`` attempt event; an
-    exception there counts as a failed attempt of that task.
+    ``timeout`` — the unfinished, uncharged shards roll into the next
+    wave. ``postprocess(shard, raw)`` runs driver-side on each
+    completed future (envelope verification, checkpointing) and
+    returns the chunk plus extra fields for its ``ok`` attempt event;
+    an exception there counts as a failed attempt of that shard.
 
     Every pooled wave is a ``wave`` span on the active recorder; each
-    charged attempt lands as an ``attempt`` event (outcome
-    ``ok``/``error``/``corrupt``/``crash``/``timeout``), each scheduled
-    retry as a ``retry`` event, and pool teardown/rebuild as ``pool``
-    events. ``scope`` labels those events (``"chunk"`` for sharded
-    sweeps, ``"experiment"`` for the registry's parallel ``run_all``).
+    charged attempt lands as a chunk-scoped ``attempt`` event (outcome
+    ``ok``/``error``/``corrupt``/``crash``/``timeout``; keyed by shard
+    index, backoff stream = shard start), each scheduled retry as a
+    ``retry`` event, and pool teardown/rebuild as ``pool`` events.
 
-    Returns ``(results, failures)``: a dict of postprocessed results
-    keyed by ``task.key``, and the tasks that exhausted every attempt.
-    Shared by :func:`run_sharded` and the experiment registry's
-    parallel ``run_all``.
+    Returns ``(results, failures)``: the postprocessed chunks keyed by
+    shard index, and the shards that exhausted every attempt.
     """
     recorder = active_recorder()
     executor = _InlineExecutor if inline else _pool_executor
     # Inline tasks have no pool, so no waves or pool events to trace.
     pool_recorder = NULL_RECORDER if inline else recorder
-    pending: list[tuple[_PoolTask, int]] = [(task, 1) for task in tasks]
-    results: dict[Any, Any] = {}
+    pending: list[tuple[Shard, int]] = [(shard, 1) for shard in shards]
+    results: dict[int, Any] = {}
     failures: list[_TaskFailure] = []
 
     def charge(
-        task: _PoolTask,
+        shard: Shard,
         attempt: int,
         kind: str,
         message: str,
@@ -385,28 +371,26 @@ def _run_pool_tasks(
     ) -> None:
         recorder.event(
             "attempt",
-            scope=scope,
-            key=task.key,
-            stream=task.stream,
+            scope="chunk",
+            key=shard.index,
+            stream=shard.start,
             attempt=attempt,
             outcome=kind,
             error=message[:200],
         )
         if attempt < retry.max_attempts:
-            delay = retry.delay(task.stream, attempt)
+            delay = retry.delay(shard.start, attempt)
             recorder.event(
                 "retry",
-                scope=scope,
-                stream=task.stream,
+                scope="chunk",
+                stream=shard.start,
                 attempt=attempt,
                 delay_s=delay,
             )
             delays.append(delay)
-            pending.append((task, attempt + 1))
+            pending.append((shard, attempt + 1))
         else:
-            failures.append(
-                _TaskFailure(task.key, task.stream, attempt, kind, message, error)
-            )
+            failures.append(_TaskFailure(shard, attempt, kind, message, error))
 
     wave_index = 0
     while pending:
@@ -430,8 +414,9 @@ def _run_pool_tasks(
             abandoned = False
             try:
                 info = {}
-                for task, attempt in wave:
-                    info[pool.submit(task_fn, *task.args, attempt)] = (task, attempt)
+                for shard, attempt in wave:
+                    future = pool.submit(task_fn, shard.start, shard.stop, attempt)
+                    info[future] = (shard, attempt)
                 outstanding = set(info)
                 first_running: dict[Any, float] = {}
                 while outstanding:
@@ -443,11 +428,11 @@ def _run_pool_tasks(
                     now = time.monotonic()
                     broken: "BaseException | None" = None
                     for future in done:
-                        task, attempt = info[future]
+                        shard, attempt = info[future]
                         try:
                             value, fields = future.result(), {}
                             if postprocess is not None:
-                                value, fields = postprocess(task, value)
+                                value, fields = postprocess(shard, value)
                         except concurrent.futures.BrokenExecutor as error:
                             # A dead worker poisons every unfinished future
                             # with the same exception; fold this one back in
@@ -461,18 +446,18 @@ def _run_pool_tasks(
                                 if isinstance(error, CorruptChunkError)
                                 else "error"
                             )
-                            charge(task, attempt, kind, str(error), error, delays)
+                            charge(shard, attempt, kind, str(error), error, delays)
                             continue
                         recorder.event(
                             "attempt",
-                            scope=scope,
-                            key=task.key,
-                            stream=task.stream,
+                            scope="chunk",
+                            key=shard.index,
+                            stream=shard.start,
                             attempt=attempt,
                             outcome="ok",
                             **fields,
                         )
-                        results[task.key] = value
+                        results[shard.index] = value
                     # The pool is forfeit when a worker died or a chunk
                     # hung: the blamed tasks are charged an attempt and
                     # innocent bystanders resubmit uncharged next wave.
@@ -502,11 +487,11 @@ def _run_pool_tasks(
                             )
                     if blamed:
                         for future in outstanding:
-                            task, attempt = info[future]
+                            shard, attempt = info[future]
                             if future in blamed:
-                                charge(task, attempt, kind, message, broken, delays)
+                                charge(shard, attempt, kind, message, broken, delays)
                             else:
-                                pending.append((task, attempt))
+                                pending.append((shard, attempt))
                         pool_recorder.event("pool", op="abandon", reason=kind)
                         _abandon_pool(pool)
                         abandoned = True
@@ -521,7 +506,7 @@ def _run_pool_tasks(
     return results, failures
 
 
-def _raise_exhausted(shard: Shard, failure: _TaskFailure, *, raw: bool) -> None:
+def _raise_exhausted(failure: _TaskFailure, *, raw: bool) -> None:
     """Raise for one exhausted shard.
 
     With ``raw`` set (``on_error="raise"`` and no retry budget) a chunk
@@ -534,6 +519,7 @@ def _raise_exhausted(shard: Shard, failure: _TaskFailure, *, raw: bool) -> None:
     """
     if raw and failure.kind == "error":
         raise failure.error
+    shard = failure.shard
     raise ChunkFailedError(
         f"chunk {shard.index} (scenarios [{shard.start}, {shard.stop})) "
         f"failed after {failure.attempts} attempt(s) [{failure.kind}]: "
@@ -546,12 +532,12 @@ def _raise_exhausted(shard: Shard, failure: _TaskFailure, *, raw: bool) -> None:
     ) from failure.error
 
 
-def _chunk_failure(shard: Shard, failure: _TaskFailure) -> ChunkFailure:
+def _chunk_failure(failure: _TaskFailure) -> ChunkFailure:
     """Convert an engine failure into its report form."""
     return ChunkFailure(
-        index=shard.index,
-        start=shard.start,
-        stop=shard.stop,
+        index=failure.shard.index,
+        start=failure.shard.start,
+        stop=failure.shard.stop,
         attempts=failure.attempts,
         kind=failure.kind,
         error=repr(failure.error) if failure.error is not None else failure.message,
@@ -577,27 +563,24 @@ def _run_sharded(
     spec = active_fault_spec(faults) or None
     name = kernel_name(kernel)
     shards = plan.shards()
-    shard_by_index = {shard.index: shard for shard in shards}
     checkpoint = options.checkpoint if len(shards) > 1 else None
     inline = options.jobs == 1 or (len(shards) == 1 and options.timeout is None)
     recorder = active_recorder()
 
-    def keep(task: _PoolTask, chunk: Any) -> Any:
+    def keep(shard: Shard, chunk: Any) -> Any:
         if checkpoint is not None:
-            checkpoint.put(*task.args, chunk)
+            checkpoint.put(shard.start, shard.stop, chunk)
         return chunk
 
-    def finish_inline(task: _PoolTask, raw: Any) -> "tuple[Any, dict]":
+    def finish_inline(shard: Shard, raw: Any) -> "tuple[Any, dict]":
         chunk, duration = raw
-        start, stop = task.args
-        return keep(task, chunk), {"dur_s": duration, "rows": stop - start}
+        return keep(shard, chunk), {"dur_s": duration, "rows": shard.size}
 
-    def finish_pooled(task: _PoolTask, raw: Any) -> "tuple[Any, dict]":
+    def finish_pooled(shard: Shard, raw: Any) -> "tuple[Any, dict]":
         digest, blob, events = raw
         recorder.record_worker_events(events)
-        start, stop = task.args
-        chunk = _open_envelope((digest, blob), start=start, stop=stop)
-        return keep(task, chunk), {}
+        chunk = _open_envelope((digest, blob), start=shard.start, stop=shard.stop)
+        return keep(shard, chunk), {}
 
     if inline:
         engine = functools.partial(
@@ -626,23 +609,20 @@ def _run_sharded(
         jobs=options.jobs,
     ):
         completed: dict[int, Any] = {}
-        tasks: list[_PoolTask] = []
+        todo: list[Shard] = []
         for shard in shards:
             if checkpoint is not None:
                 hit, chunk = checkpoint.get(shard.start, shard.stop)
                 if hit:
                     completed[shard.index] = chunk
                     continue
-            tasks.append(
-                _PoolTask(key=shard.index, stream=shard.start,
-                          args=(shard.start, shard.stop))
-            )
+            todo.append(shard)
 
         # Inline chunks run one at a time, each through all its
         # attempts, so "raise" stops at the first exhausted chunk
         # without running the rest.
         failures: list[_TaskFailure] = []
-        for batch in [[task] for task in tasks] if inline else [tasks]:
+        for batch in [[shard] for shard in todo] if inline else [todo]:
             results, failed = engine(batch, retry=options.retries)
             completed.update(results)
             failures.extend(failed)
@@ -650,13 +630,11 @@ def _run_sharded(
                 break
 
         if failures:
-            failures.sort(key=lambda failure: failure.key)
-            first = failures[0]
+            failures.sort(key=lambda failure: failure.shard.index)
             raising = options.on_error == "raise"
             if raising or not completed:
                 _raise_exhausted(
-                    shard_by_index[first.key],
-                    first,
+                    failures[0],
                     raw=raising and options.retries.max_attempts == 1,
                 )
         elif checkpoint is not None:
@@ -664,10 +642,7 @@ def _run_sharded(
         chunks = [completed[index] for index in sorted(completed)]
         result = chunks if combine is None else combine(chunks)
         report = FailureReport(
-            failures=tuple(
-                _chunk_failure(shard_by_index[failure.key], failure)
-                for failure in failures
-            ),
+            failures=tuple(_chunk_failure(failure) for failure in failures),
             num_chunks=len(shards),
         )
         return result, report

@@ -18,6 +18,7 @@ from .runner import (
     SweepSpec,
     apply_overrides,
     fleet_scenario_parameters,
+    run_cached_sweep,
     run_sweep,
     run_uncertain_sweep,
     sweep_fleet,
@@ -41,6 +42,7 @@ __all__ = [
     "SweepSpec",
     "SWEEPS",
     "sweep_names",
+    "run_cached_sweep",
     "run_sweep",
     "run_uncertain_sweep",
 ]

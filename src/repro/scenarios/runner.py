@@ -39,7 +39,7 @@ from ..datacenter.heterogeneity import (
     provision_homogeneous_batch,
 )
 from ..errors import SimulationError
-from ..exec import ExecOptions
+from ..exec import ExecOptions, FailureReport
 from ..exec.runner import _run_batch
 from ..obs.recorder import active_recorder
 from ..tabular import Table
@@ -59,6 +59,7 @@ __all__ = [
     "sweep_names",
     "run_sweep",
     "run_uncertain_sweep",
+    "run_cached_sweep",
 ]
 
 #: Field-name sets per dataclass type; override application is the
@@ -709,3 +710,55 @@ def run_uncertain_sweep(
         if scenarios is not None:
             span.note(rows=scenarios * result.draws)
         return outcome
+
+
+def run_cached_sweep(
+    name: str,
+    draws: "int | None" = None,
+    seed: int = 0,
+    *,
+    cache: Any = None,
+    resume: bool = True,
+    **options: Any,
+) -> "tuple[Any, FailureReport | None, bool]":
+    """One named sweep through the shared result cache.
+
+    Returns ``(result, report, cached)``: the :class:`~repro.tabular.Table`
+    (``draws=None``) or :class:`~repro.uncertainty.UncertainResult`,
+    the :class:`~repro.exec.FailureReport` (``None`` under
+    ``on_error="raise"``), and whether the result came from ``cache``.
+
+    With a :class:`~repro.exec.ResultCache` the key folds in the sweep
+    name, mode (draws and seed) and the package source fingerprint —
+    never ``jobs``/``chunk_size``, since sharded runs are bit-identical,
+    so every parallelism level warm-starts every other. A wrong-typed
+    entry is a miss, a miss runs with chunk checkpoints under the
+    cache directory (consumed only when ``resume`` is set), and a
+    partial result is never cached. ``options`` are the
+    :class:`repro.exec.ExecOptions` settings.
+    """
+    from ..exec import CheckpointStore, cache_key, package_fingerprint
+    from ..uncertainty import UncertainResult
+
+    if draws is None:
+        parts: "tuple[object, ...]" = ("sweep", name, "point")
+        kind: type = Table
+    else:
+        parts = ("sweep", name, draws, seed)
+        kind = UncertainResult
+    if cache is not None:
+        key = cache_key(*parts, package_fingerprint())
+        result = cache.get(key)
+        if isinstance(result, kind):
+            return result, None, True
+        options["checkpoint"] = CheckpointStore(
+            cache.directory, spec_parts=parts, consume=resume
+        )
+    result, report = ExecOptions(**options).split(
+        run_sweep(name, **options)
+        if draws is None
+        else run_uncertain_sweep(name, draws, seed, **options)
+    )
+    if cache is not None and not report:
+        cache.put(key, result)
+    return result, report, False

@@ -10,10 +10,11 @@ milliseconds of latency for order-of-magnitude throughput.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import ServiceError
+from ..errors import ExecutionError, ServiceError
+from ..exec import ExecOptions
 
 __all__ = ["ServeConfig"]
 
@@ -30,9 +31,10 @@ class ServeConfig:
     ``coalesce=False`` forces ``max_batch=1`` semantics — the
     benchmark baseline. ``jobs``/``chunk_size``/``retries``/
     ``timeout_s`` forward to the sharded runners exactly like the
-    ``repro sweep`` flags; ``timeout_s`` (and per-request deadlines)
-    only reach :func:`repro.exec.run_sharded` when ``jobs > 1``,
-    because inline chunks cannot be cancelled. ``cache_dir`` arms the
+    ``repro sweep`` flags, validated once into :attr:`options`;
+    ``timeout_s`` (and per-request deadlines) only reach
+    :func:`repro.exec.run_sharded` when ``jobs > 1``, because inline
+    chunks cannot be cancelled. ``cache_dir`` arms the
     shared :class:`~repro.exec.cache.ResultCache` for sweep requests
     (``None`` disables caching). The breaker fields shape the
     :class:`~repro.serve.breaker.CircuitBreaker`; ``drain_grace_s``
@@ -54,6 +56,9 @@ class ServeConfig:
     breaker_reset_s: float = 30.0
     drain_grace_s: float = 30.0
     max_body_bytes: int = 1 << 20
+    #: The batches' execution settings (no timeout: the service adds
+    #: the tightest per-batch budget itself), built from the fields above.
+    options: ExecOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_queue <= 0:
@@ -69,8 +74,19 @@ class ServeConfig:
             raise ServiceError(
                 f"batch window must be >= 0 seconds, got {self.batch_window_s}"
             )
-        if self.jobs <= 0:
-            raise ServiceError(f"jobs must be positive, got {self.jobs}")
+        try:
+            options = ExecOptions(
+                jobs=self.jobs,
+                chunk_size=self.chunk_size,
+                retries=self.retries or None,
+            )
+        except ExecutionError as error:
+            raise ServiceError(str(error)) from error
+        object.__setattr__(self, "options", options)
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ServiceError(
+                f"per-chunk timeout must be positive, got {self.timeout_s}"
+            )
         if self.breaker_threshold <= 0:
             raise ServiceError(
                 f"breaker threshold must be positive, got "

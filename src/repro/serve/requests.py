@@ -56,10 +56,6 @@ __all__ = [
 #: Request kinds the service accepts, in documentation order.
 KINDS = ("scenario", "portfolio", "sweep")
 
-#: Cache-miss sentinel: cached sweep results may legitimately be falsy.
-_MISS = object()
-
-
 @dataclass(frozen=True)
 class Request:
     """One parsed, validated service request.
@@ -88,13 +84,6 @@ class Request:
             # kernel call.
             return ("portfolio", tuple(name for name, _ in self.overrides))
         return ("scenario",)
-
-    @property
-    def sweep_parts(self) -> tuple:
-        """A sweep request's spec: its cache key and checkpoint namespace."""
-        if self.draws is None:
-            return ("sweep", self.sweep_name, "point")
-        return ("sweep", self.sweep_name, self.draws, self.seed)
 
     @property
     def override_mapping(self) -> dict[str, Any]:
@@ -305,32 +294,17 @@ def _execute_sweep(
 ) -> list[Response]:
     """One named-sweep execution answering every coalesced duplicate.
 
-    Mirrors the ``repro sweep`` CLI's cache discipline: the key folds
-    in the sweep name, mode, and :func:`package_fingerprint`; partial
-    (degraded) results are never cached.
+    Goes through :func:`~repro.scenarios.runner.run_cached_sweep`, the
+    ``repro sweep`` CLI's path, so both share one cache entry per
+    sweep and mode; a miss resumes from the spec's chunk checkpoints.
     """
-    from ..exec.cache import cache_key, package_fingerprint
-    from ..scenarios.runner import run_sweep, run_uncertain_sweep
+    from ..scenarios.runner import run_cached_sweep
 
     spec = requests[0]
-    key = cache_key(*spec.sweep_parts, package_fingerprint())
-    cached = False
-    report = None
-    outcome = None
-    if cache is not None:
-        value = cache.get(key, _MISS)
-        if value is not _MISS:
-            outcome, cached = value, True
-    if outcome is None:
-        if spec.draws is None:
-            result = run_sweep(spec.sweep_name, **options)
-        else:
-            result = run_uncertain_sweep(
-                spec.sweep_name, spec.draws, spec.seed, **options
-            )
-        outcome, report = options.split(result)
-        if cache is not None and report is None:
-            cache.put(key, outcome)
+    outcome, report, cached = run_cached_sweep(
+        spec.sweep_name, spec.draws, spec.seed, cache=cache, resume=True,
+        **options,
+    )
     table = (
         outcome if isinstance(outcome, Table) else outcome.quantile_table()
     )
@@ -394,9 +368,8 @@ def execute_group(
     """Answer one coalesced batch (equal group keys) with one kernel call.
 
     ``options`` are the batch's :class:`repro.exec.ExecOptions` (or its
-    keyword form as a mapping), including any sweep checkpoint store;
-    ``cache`` is the shared :class:`~repro.exec.ResultCache` for sweep
-    requests. Returns one
+    keyword form as a mapping); ``cache`` is the shared
+    :class:`~repro.exec.ResultCache` for sweep requests. Returns one
     :class:`Response` per request, in request order. Raises whatever
     the kernels raise — the service layer owns translating failures
     into degraded retries or error responses.

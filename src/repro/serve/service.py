@@ -279,22 +279,7 @@ class SweepService:
         requests: Sequence[Request],
         options: ExecOptions,
     ) -> "asyncio.Future[list[Response]]":
-        """Answer one batch under ``options`` on a kernel thread.
-
-        With the cache armed, a sweep batch also resumes from (and
-        leaves) chunk checkpoints in its spec's consume-mode store.
-        """
-        if requests[0].kind == "sweep" and self._cache is not None:
-            from ..exec.checkpoint import CheckpointStore
-
-            options = dataclasses.replace(
-                options,
-                checkpoint=CheckpointStore(
-                    self.config.cache_dir,
-                    spec_parts=requests[0].sweep_parts,
-                    consume=True,
-                ),
-            )
+        """Answer one batch under ``options`` on a kernel thread."""
         return loop.run_in_executor(
             None,
             lambda: execute_group(
@@ -326,16 +311,11 @@ class SweepService:
                 try:
                     # Inline chunks cannot be cancelled, so the tightest
                     # budget becomes a per-chunk timeout only in a pool.
-                    options = ExecOptions(
-                        jobs=self.config.jobs,
-                        chunk_size=self.config.chunk_size,
-                        retries=self.config.retries or None,
-                        timeout=(
-                            min(budgets)
-                            if budgets and self.config.jobs > 1
-                            else None
-                        ),
-                    )
+                    options = self.config.options
+                    if budgets and options.jobs > 1:
+                        options = dataclasses.replace(
+                            options, timeout=min(budgets)
+                        )
                     responses = await self._run_group(loop, requests, options)
                 except Exception as error:
                     if not is_infrastructure_error(error):
@@ -360,10 +340,8 @@ class SweepService:
         cause: "BaseException | None",
     ) -> list[Response]:
         """The fallback path: inline execution, skip-and-report semantics."""
-        options = ExecOptions(
-            chunk_size=self.config.chunk_size,
-            retries=self.config.retries or None,
-            on_error="skip",
+        options = dataclasses.replace(
+            self.config.options, jobs=1, on_error="skip"
         )
         try:
             responses = await self._run_group(loop, requests, options)

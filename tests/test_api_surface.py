@@ -89,6 +89,7 @@ _EXEC_PACKAGES = (
     "repro.portfolio",
     "repro.traces",
     "repro.exec",
+    "repro.experiments",
 )
 
 

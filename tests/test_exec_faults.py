@@ -14,7 +14,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ChunkFailedError, CorruptChunkError, ExecutionError
+from repro.errors import (
+    ChunkFailedError,
+    CorruptChunkError,
+    ExecutionError,
+    ExperimentError,
+)
 from repro.exec import (
     CheckpointStore,
     ChunkFailure,
@@ -31,6 +36,7 @@ from repro.exec import (
 )
 from repro.exec.faults import corrupt_bytes, perform_fault
 from repro.exec.runner import _open_envelope
+from repro.experiments import registry
 
 
 def _square_chunk(payload, start, stop):
@@ -50,6 +56,7 @@ def _flat(chunks):
 
 def _public_runners():
     """Every public runner taking the execution settings, called cheaply."""
+    from repro.experiments import run_all
     from repro.portfolio import (
         default_catalog,
         sweep_portfolio,
@@ -112,6 +119,7 @@ def _public_runners():
         "run_uncertain_sweep": lambda **options: run_uncertain_sweep(
             "fleet_growth_lifetime", 2, **options
         ),
+        "run_all": lambda **options: run_all(cache=False, **options),
     }
 
 
@@ -342,6 +350,8 @@ class TestInlineRecovery:
         with pytest.raises(ExecutionError):
             # Inline chunks cannot be cancelled, so a timeout needs jobs > 1.
             call(timeout=5.0)
+        with pytest.raises(ExecutionError):
+            call(chunk_size=0)
         # A misspelled execution keyword is a TypeError naming it.
         for typo in ("chunksize", "on_eror"):
             with pytest.raises(TypeError, match=typo):
@@ -428,6 +438,67 @@ class TestPoolRecovery:
         assert result == [v * v for v in _PAYLOAD[:5] + _PAYLOAD[10:]]
         assert report.failures[0].kind == "timeout"
         assert report.shard_ranges() == [(5, 10)]
+
+
+class TestRunAllFaults:
+    """``run_all`` rides the sharded engine, one driver per chunk."""
+
+    _IDS = ("tab01", "tab02", "tab03")
+
+    @pytest.fixture(autouse=True)
+    def _three_drivers(self, monkeypatch):
+        monkeypatch.setattr(registry, "EXPERIMENT_IDS", self._IDS)
+
+    @staticmethod
+    def _run(rule, **options):
+        # Start 1 is the second pending driver: tab02.
+        with install_faults(FaultSpec(rules=(rule,))):
+            return registry.run_all(cache=False, **options)
+
+    def test_raise_recovered(self):
+        results = self._run(FaultRule(kind="raise", starts=(1,)), retries=1)
+        assert list(results) == list(self._IDS)
+
+    def test_no_budget_propagates_the_drivers_exception(self):
+        with pytest.raises(InjectedFault):
+            self._run(FaultRule(kind="raise", starts=(1,), attempts=None))
+
+    def test_exhaustion_names_the_experiment(self):
+        with pytest.raises(ExperimentError, match="'tab02'"):
+            self._run(
+                FaultRule(kind="raise", starts=(1,), attempts=None), retries=1
+            )
+
+    def test_skip_drops_the_failed_driver(self):
+        results = self._run(
+            FaultRule(kind="raise", starts=(1,), attempts=None), on_error="skip"
+        )
+        assert list(results) == ["tab01", "tab03"]
+
+    def test_skip_never_raises_when_every_driver_fails(self):
+        results = self._run(
+            FaultRule(kind="raise", starts=None, attempts=None), on_error="skip"
+        )
+        assert results == {}
+
+    def test_pool_crash_recovered(self):
+        results = self._run(
+            FaultRule(kind="crash", starts=(1,)), jobs=2, retries=1
+        )
+        assert list(results) == list(self._IDS)
+
+    def test_pool_hang_recovered_via_timeout(self):
+        results = self._run(
+            FaultRule(kind="hang", starts=(1,), seconds=30.0),
+            jobs=2,
+            retries=1,
+            timeout=2.0,
+        )
+        assert list(results) == list(self._IDS)
+
+    def test_chunk_size_rejected(self):
+        with pytest.raises(TypeError, match="chunk_size"):
+            registry.run_all(cache=False, chunk_size=1)
 
 
 class TestEnvelope:

@@ -99,6 +99,10 @@ class TestServeConfig:
             {"jobs": 0},
             {"breaker_threshold": 0},
             {"drain_grace_s": -1.0},
+            {"chunk_size": 0},
+            {"retries": -1},
+            {"timeout_s": 0.0},
+            {"jobs": 2, "timeout_s": -1.0},
         ],
     )
     def test_rejects_nonsense_bounds(self, kwargs):
@@ -604,6 +608,40 @@ class TestExecuteGroup:
         assert cold.payload["cached"] is False
         assert warm.payload["cached"] is True
         assert warm.payload["rows"] == cold.payload["rows"]
+
+    def test_cli_sweep_warms_the_service(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.exec.cache import ResultCache
+
+        argv = ["sweep", "fleet_growth_lifetime", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        request = parse_request("sweep", {"name": "fleet_growth_lifetime"})
+        response = execute_group(
+            [request], options=self.OPTIONS, cache=ResultCache(tmp_path)
+        )[0]
+        assert response.payload["cached"] is True
+
+    def test_service_sweep_warms_the_cli(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.exec.cache import ResultCache
+        from repro.scenarios import runner
+
+        request = parse_request(
+            "sweep", {"name": "fleet_growth_lifetime", "draws": 8, "seed": 3}
+        )
+        execute_group([request], options=self.OPTIONS, cache=ResultCache(tmp_path))
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("the CLI missed the service's cache entry")
+
+        monkeypatch.setattr(runner, "run_uncertain_sweep", recompute)
+        argv = [
+            "sweep", "fleet_growth_lifetime", "--draws", "8", "--seed", "3",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert "seed 3" in capsys.readouterr().out
 
     def test_uncertain_sweep_returns_quantile_rows(self):
         from repro.scenarios.runner import run_uncertain_sweep
