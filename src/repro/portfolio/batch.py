@@ -359,11 +359,6 @@ def _metrics(
     return metrics
 
 
-def _flat(array: np.ndarray, shape: "tuple[int, int]") -> np.ndarray:
-    """Broadcast a parameter/metric to ``shape`` and flatten row-major."""
-    return np.ascontiguousarray(np.broadcast_to(array, shape)).reshape(-1)
-
-
 def simulate_device_batch(specs: Sequence[DeviceSpec]) -> Table:
     """Simulate a catalog of devices in one struct-of-arrays call.
 

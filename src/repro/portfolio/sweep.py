@@ -9,10 +9,12 @@ lifetime bands through the shared :mod:`repro.uncertainty.draws` path)
 and returns an :class:`~repro.uncertainty.UncertainResult`.
 
 Sharding is over the *device* axis (scenarios stay whole): each chunk
-emits per-(device, cell) detail rows, ``Table.concat`` stacks them —
-bit-identical for any chunk/job geometry by construction — and the
-driver reduces over devices with :func:`math.fsum`. ``fsum`` is exactly
-rounded, so fleet aggregates are not merely reproducible but
+returns ``(chunk_devices, cells)`` float64 matrices of exactly the
+values the fleet sums add up — ``units`` and the unit-weighted
+embodied / use / annualized kg, plus break-even days — the driver
+stacks them with one ``np.concatenate`` per key, and one aggregation
+reduces every column over devices with :func:`math.fsum`. ``fsum`` is
+exactly rounded, so fleet aggregates are not merely reproducible but
 *permutation-invariant* over the device axis and independent of chunk
 geometry, down to the last bit. Both runners take the
 :class:`repro.exec.ExecOptions` settings as keywords.
@@ -21,7 +23,7 @@ geometry, down to the last bit. Both runners take the
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,16 +31,12 @@ from ..analysis.uncertainty import is_distribution
 from ..errors import SimulationError
 from ..exec import ExecOptions
 from ..exec.runner import _run_batch
-from ..scenarios.runner import (
-    _attach_axes,
-    _reject_distribution_values,
-    _scalar_axis_names,
-)
+from ..scenarios.runner import _attach_axes, _reject_distribution_values
 from ..tabular import Table
 from ..uncertainty.draws import _check_records, build_draw_matrix
 from ..uncertainty.result import UncertainResult
-from ..uncertainty.sweeps import _axes_table, _kept_axis_names, _reshape_metrics
-from .batch import _flat, _metrics, _parameter_grid
+from ..uncertainty.sweeps import _axes_table, _reshape_metrics
+from .batch import _metrics, _parameter_grid
 from .catalog import OVERRIDABLE_FIELDS, DeviceSpec
 
 __all__ = ["PORTFOLIO_METRICS", "sweep_portfolio", "sweep_portfolio_uncertain"]
@@ -54,9 +52,6 @@ PORTFOLIO_METRICS = (
     "embodied_fraction",
     "break_even_days_mean",
 )
-
-#: Per-(device, cell) detail columns the chunk kernels emit.
-_DETAIL_METRICS = ("embodied_kg", "use_kg", "annual_kg", "break_even_days")
 
 
 def _validate_axis_names(records: Sequence[Mapping[str, Any]]) -> None:
@@ -74,38 +69,40 @@ def _validate_axis_names(records: Sequence[Mapping[str, Any]]) -> None:
             )
 
 
-def _detail_table(
-    start: int, stop: int, cells: int, grid: tuple
-) -> Table:
-    """Detail rows for devices ``[start, stop)``: device-major flatten."""
-    params, node_axis, murphy_mask, names, scenario_fields = grid
-    metrics = _metrics(params, node_axis, murphy_mask, names, scenario_fields)
-    shape = (stop - start, cells)
-    columns: dict[str, Any] = {
-        "device": np.repeat(np.arange(start, stop, dtype=np.int64), cells),
-        "cell": np.tile(np.arange(cells, dtype=np.int64), stop - start),
-        "units": _flat(params["units"], shape),
+def _summands(grid: tuple, cells: int) -> "dict[str, np.ndarray]":
+    """Per-(device, cell) values the fleet sums add up, ``(devices, cells)``.
+
+    ``units`` and the unit-weighted embodied / use / annualized kg
+    (``metric * units``, elementwise) feed the fleet totals; the
+    unweighted break-even days feed the catalog mean.
+    """
+    params, _, _, names, _ = grid
+    metrics = _metrics(*grid)
+    shape = (len(names), cells)
+    units = np.broadcast_to(params["units"], shape)
+    summands = {
+        "units": units,
+        "break_even_days": np.broadcast_to(metrics["break_even_days"], shape),
     }
-    for metric in _DETAIL_METRICS:
-        columns[metric] = _flat(metrics[metric], shape)
-    return Table(columns)
+    for metric in ("embodied_kg", "use_kg", "annual_kg"):
+        summands[metric] = metrics[metric] * units
+    return {
+        key: np.ascontiguousarray(value) for key, value in summands.items()
+    }
 
 
-def _portfolio_chunk(payload: tuple, start: int, stop: int) -> Table:
+def _portfolio_chunk(payload: tuple, start: int, stop: int) -> dict:
     """Chunk kernel: devices ``[start, stop)`` × every scenario.
 
     Module-level so :func:`repro.exec.run_sharded` workers can import
     it by name; scenarios are never sharded, so every chunk shares the
-    full scenario axis and detail rows concat device-major.
+    full scenario axis and summand rows stack device-major.
     """
     specs, records = payload
-    chunk = specs[start:stop]
-    return _detail_table(
-        start, stop, len(records), _parameter_grid(chunk, records)
-    )
+    return _summands(_parameter_grid(specs[start:stop], records), len(records))
 
 
-def _portfolio_uncertain_chunk(payload: tuple, start: int, stop: int) -> Table:
+def _portfolio_uncertain_chunk(payload: tuple, start: int, stop: int) -> dict:
     """Chunk kernel: devices ``[start, stop)`` × every (scenario, draw).
 
     The draw matrix is rebuilt from the full scenario records —
@@ -113,12 +110,19 @@ def _portfolio_uncertain_chunk(payload: tuple, start: int, stop: int) -> Table:
     sharding the device axis never perturbs the samples.
     """
     specs, records, draws, seed = payload
-    chunk = specs[start:stop]
     matrix = build_draw_matrix(records, draws, seed)
-    return _detail_table(
-        start, stop, len(records) * draws,
-        _parameter_grid(chunk, records, matrix),
+    return _summands(
+        _parameter_grid(specs[start:stop], records, matrix),
+        len(records) * draws,
     )
+
+
+def _stack(chunks: Sequence[dict]) -> "dict[str, np.ndarray]":
+    """Combine chunk summands in shard order: device rows stack."""
+    return {
+        key: np.concatenate([chunk[key] for chunk in chunks])
+        for key in chunks[0]
+    }
 
 
 def _column_sums(matrix: np.ndarray) -> np.ndarray:
@@ -137,43 +141,54 @@ def _column_sums(matrix: np.ndarray) -> np.ndarray:
     )
 
 
-def _aggregate_detail(detail: Table, cells: int) -> "dict[str, np.ndarray]":
-    """Reduce per-device detail rows to per-cell fleet aggregates."""
-    if cells <= 0 or detail.num_rows % cells:
-        raise SimulationError(
-            f"detail table has {detail.num_rows} rows, not a multiple of "
-            f"{cells} scenario cells"
-        )
-    devices = detail.num_rows // cells
-
-    def grid_of(name: str) -> np.ndarray:
-        return np.asarray(detail.column(name), dtype=np.float64).reshape(
-            devices, cells
-        )
-
-    units = grid_of("units")
-    embodied_sum = _column_sums(grid_of("embodied_kg") * units)
-    use_sum = _column_sums(grid_of("use_kg") * units)
-    annual_sum = _column_sums(grid_of("annual_kg") * units)
+def _aggregate(summands: Mapping[str, np.ndarray]) -> "dict[str, np.ndarray]":
+    """Reduce stacked per-device summands to per-cell fleet aggregates."""
+    devices, cells = summands["units"].shape
+    embodied_sum = _column_sums(summands["embodied_kg"])
+    use_sum = _column_sums(summands["use_kg"])
     embodied_t = embodied_sum / _KG_PER_TONNE
     use_t = use_sum / _KG_PER_TONNE
     return {
         "devices": np.full(cells, devices, dtype=np.int64),
-        "units": _column_sums(units),
+        "units": _column_sums(summands["units"]),
         "embodied_t": embodied_t,
         "use_t": use_t,
         "total_t": embodied_t + use_t,
-        "annual_t": annual_sum / _KG_PER_TONNE,
+        "annual_t": _column_sums(summands["annual_kg"]) / _KG_PER_TONNE,
         "embodied_fraction": embodied_sum / (embodied_sum + use_sum),
-        "break_even_days_mean": _column_sums(grid_of("break_even_days"))
+        "break_even_days_mean": _column_sums(summands["break_even_days"])
         / devices,
     }
 
 
-def _portfolio_table(
-    detail: Table, records: Sequence[Mapping[str, Any]], keep: Sequence[str]
-) -> Table:
-    return _attach_axes(records, Table(_aggregate_detail(detail, len(records))), keep=keep)
+def _fleet_sums(
+    kernel: Callable[[Any, int, int], Any],
+    catalog: Iterable[DeviceSpec],
+    scenarios: Iterable[Mapping[str, Any]],
+    options: ExecOptions,
+    check: Callable[[list], None],
+    *payload: Any,
+    fn: str,
+    **span: Any,
+) -> "tuple[list[dict[str, Any]], dict[str, np.ndarray], Any]":
+    """Both runners' shared path: validate, run the device shards, aggregate.
+
+    ``check`` is the runner's own record validation; ``payload`` rides
+    after ``(specs, records)`` into ``kernel``. Returns the checked
+    records, the per-cell fleet aggregates and the failure report.
+    """
+    specs = tuple(catalog)
+    if not specs:
+        raise SimulationError("need at least one device in the portfolio")
+    records = _check_records(list(scenarios))
+    check(records)
+    _validate_axis_names(records)
+    summands, report = _run_batch(
+        kernel, (specs, records, *payload), len(specs), options,
+        combine=_stack, fn=fn, scenarios=len(records), **span,
+        devices=len(specs),
+    )
+    return records, _aggregate(summands), report
 
 
 def sweep_portfolio(
@@ -199,38 +214,11 @@ def sweep_portfolio(
     chunks survived.
     """
     options = ExecOptions(**options)
-    specs = tuple(catalog)
-    if not specs:
-        raise SimulationError("need at least one device in the portfolio")
-    records = _check_records(list(scenarios))
-    _reject_distribution_values(records)
-    _validate_axis_names(records)
-    keep = _scalar_axis_names(records)
-    detail, report = _run_batch(
-        _portfolio_chunk, (specs, records), len(specs), options,
-        combine=Table.concat,
-        fn="sweep_portfolio", scenarios=len(records), devices=len(specs),
+    records, aggregates, report = _fleet_sums(
+        _portfolio_chunk, catalog, scenarios, options,
+        _reject_distribution_values, fn="sweep_portfolio",
     )
-    return options.finish(_portfolio_table(detail, records, keep), report)
-
-
-def _portfolio_uncertain_result(
-    detail: Table,
-    records: Sequence[Mapping[str, Any]],
-    kept: Sequence[str],
-    draws: int,
-    seed: int,
-) -> UncertainResult:
-    aggregates = _aggregate_detail(detail, len(records) * draws)
-    flat = Table({metric: aggregates[metric] for metric in PORTFOLIO_METRICS})
-    return UncertainResult(
-        axes=_axes_table(records, keep=kept),
-        samples=_reshape_metrics(
-            flat, PORTFOLIO_METRICS, len(records), draws
-        ),
-        draws=draws,
-        seed=seed,
-    )
+    return options.finish(_attach_axes(records, Table(aggregates)), report)
 
 
 def sweep_portfolio_uncertain(
@@ -258,20 +246,21 @@ def sweep_portfolio_uncertain(
     shards).
     """
     options = ExecOptions(**options)
-    specs = tuple(catalog)
-    if not specs:
-        raise SimulationError("need at least one device in the portfolio")
-    records = _check_records(list(scenarios))
-    _validate_axis_names(records)
-    if draws <= 0:
-        raise SimulationError("draw count must be positive")
-    kept = _kept_axis_names(records)
-    detail, report = _run_batch(
-        _portfolio_uncertain_chunk, (specs, records, draws, seed), len(specs),
-        options, combine=Table.concat,
-        fn="sweep_portfolio_uncertain", scenarios=len(records), draws=draws,
-        devices=len(specs),
+
+    def check_draws(records: list) -> None:
+        if draws <= 0:
+            raise SimulationError("draw count must be positive")
+
+    records, aggregates, report = _fleet_sums(
+        _portfolio_uncertain_chunk, catalog, scenarios, options, check_draws,
+        draws, seed, fn="sweep_portfolio_uncertain", draws=draws,
     )
-    return options.finish(
-        _portfolio_uncertain_result(detail, records, kept, draws, seed), report
+    result = UncertainResult(
+        axes=_axes_table(records),
+        samples=_reshape_metrics(
+            Table(aggregates), PORTFOLIO_METRICS, len(records), draws
+        ),
+        draws=draws,
+        seed=seed,
     )
+    return options.finish(result, report)

@@ -305,18 +305,16 @@ def _attach_axes(
     return Table(columns)
 
 
-def _provisioning_chunk(payload: tuple, start: int, stop: int) -> Table:
-    """Chunk kernel: scenarios ``[start, stop)`` of a provisioning sweep.
+def _provisioning_metrics(
+    fleet: tuple, targets: np.ndarray, scales: np.ndarray
+) -> "dict[str, np.ndarray]":
+    """Homogeneous vs heterogeneous provisioning metrics per scenario.
 
-    The provisioning kernels are elementwise along the scenario axis,
-    so slicing the (target, scale) arrays yields exactly the rows a
-    monolithic call would produce for those scenarios.
+    ``fleet`` is ``(workloads, general, server_types, grid, model)``;
+    the point and uncertain provisioning sweeps share these result
+    columns, elementwise along the (target, scale) axis.
     """
-    workloads, general, server_types, target_axis, scale_axis, grid, model = (
-        payload
-    )
-    targets = target_axis[start:stop]
-    scales = scale_axis[start:stop]
+    workloads, general, server_types, grid, model = fleet
     homogeneous = provision_homogeneous_batch(
         workloads, general, targets, scales
     )
@@ -325,15 +323,30 @@ def _provisioning_chunk(payload: tuple, start: int, stop: int) -> Table:
     )
     homo_total = homogeneous.total_per_year_grams(grid, model)
     hetero_total = heterogeneous.total_per_year_grams(grid, model)
+    return {
+        "servers_homogeneous": homogeneous.total_servers(),
+        "servers_heterogeneous": heterogeneous.total_servers(),
+        "total_t_homogeneous": homo_total / 1e6,
+        "total_t_heterogeneous": hetero_total / 1e6,
+        "carbon_saving_fraction": 1.0 - hetero_total / homo_total,
+    }
+
+
+def _provisioning_chunk(payload: tuple, start: int, stop: int) -> Table:
+    """Chunk kernel: scenarios ``[start, stop)`` of a provisioning sweep.
+
+    The provisioning kernels are elementwise along the scenario axis,
+    so slicing the (target, scale) arrays yields exactly the rows a
+    monolithic call would produce for those scenarios.
+    """
+    fleet, target_axis, scale_axis = payload
+    targets = target_axis[start:stop]
+    scales = scale_axis[start:stop]
     return Table(
         {
             "utilization_target": targets,
             "demand_scale": scales,
-            "servers_homogeneous": homogeneous.total_servers(),
-            "servers_heterogeneous": heterogeneous.total_servers(),
-            "total_t_homogeneous": homo_total / 1e6,
-            "total_t_heterogeneous": hetero_total / 1e6,
-            "carbon_saving_fraction": 1.0 - hetero_total / homo_total,
+            **_provisioning_metrics(fleet, targets, scales),
         }
     )
 
@@ -369,15 +382,8 @@ def sweep_provisioning(
     scales = np.atleast_1d(np.asarray(demand_scales, dtype=np.float64))
     target_axis = np.repeat(targets, len(scales))
     scale_axis = np.tile(scales, len(targets))
-    payload = (
-        tuple(workloads),
-        general,
-        tuple(server_types),
-        target_axis,
-        scale_axis,
-        grid,
-        model,
-    )
+    fleet = (tuple(workloads), general, tuple(server_types), grid, model)
+    payload = (fleet, target_axis, scale_axis)
     size = int(target_axis.shape[0])
     return options.finish(*_run_batch(
         _provisioning_chunk, payload, size, options, combine=Table.concat,

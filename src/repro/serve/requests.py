@@ -44,6 +44,7 @@ from typing import Any, Mapping, Sequence
 from ..errors import ServiceError
 from ..exec import ExecOptions, ShardPlan
 from ..exec.runner import _run_sharded
+from ..portfolio.sweep import PORTFOLIO_METRICS
 from ..tabular import Table
 
 __all__ = [
@@ -212,16 +213,7 @@ def _surviving_indices(total: int, report: Any) -> list[int]:
 
 #: Metric columns of a portfolio response row — a fixed schema, never
 #: the batch-dependent axis columns ``sweep_portfolio`` would attach.
-_PORTFOLIO_COLUMNS = (
-    "devices",
-    "units",
-    "embodied_t",
-    "use_t",
-    "total_t",
-    "annual_t",
-    "embodied_fraction",
-    "break_even_days_mean",
-)
+_PORTFOLIO_COLUMNS = ("devices", "units", *PORTFOLIO_METRICS)
 
 
 def _execute_scenarios(

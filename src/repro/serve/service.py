@@ -29,14 +29,17 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import json
 import time
 from typing import Any, Callable, Sequence
 
-from ..errors import ServiceError
+from ..errors import ServiceError, SimulationError
 from ..exec import ExecOptions
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import _update_metrics, active_recorder
+from ..portfolio import default_catalog
+from ..portfolio.batch import _parameter_grid, _validate_params
 from .batcher import DrainingError, MicroBatcher, OverloadedError
 from .breaker import CircuitBreaker, is_infrastructure_error
 from .config import ServeConfig
@@ -44,6 +47,23 @@ from .http import serve_connection
 from .requests import Request, Response, execute_group, parse_request
 
 __all__ = ["SweepService"]
+
+
+@functools.lru_cache(maxsize=1024)
+def _check_portfolio_overrides(
+    overrides: "tuple[tuple[str, Any], ...]",
+) -> None:
+    """Run the portfolio kernel's parameter checks on one override record.
+
+    Checks the record over the default catalog, as its coalesced batch
+    would. Building that parameter grid costs several times a coalesced
+    request's whole share of the service, so valid records are memoized
+    (clients repeat cells); a bad record raises every time.
+    """
+    params, _, _, names, fields = _parameter_grid(
+        default_catalog(), [dict(overrides)]
+    )
+    _validate_params(params, names, fields)
 
 
 class SweepService:
@@ -225,7 +245,7 @@ class SweepService:
         try:
             request = parse_request(kind, decoded)
             self._validate_overrides(request)
-        except ServiceError as error:
+        except (ServiceError, SimulationError, TypeError, ValueError) as error:
             return 400, {"error": "bad_request", "detail": str(error)}, {}
         try:
             response = await self._batcher.submit(request)
@@ -246,29 +266,21 @@ class SweepService:
         return response.status, response.payload, {}
 
     def _validate_overrides(self, request: Request) -> None:
-        """Reject bad override paths at admission, not inside a batch.
+        """Reject bad override paths and values at admission, not in a batch.
 
         A coalesced batch shares one kernel call; validating here keeps
-        one client's typo from poisoning its batchmates.
+        one client's bad override from poisoning its batchmates. A
+        scenario request rebuilds the fleet preset; a portfolio request
+        runs the batch kernel's parameter checks over the default
+        catalog, the checks its coalesced batch would run.
         """
         if request.kind == "scenario":
-            from ..errors import SimulationError
             from ..scenarios.presets import facebook_like_fleet
             from ..scenarios.runner import apply_overrides
 
-            try:
-                apply_overrides(facebook_like_fleet(), request.override_mapping)
-            except SimulationError as error:
-                raise ServiceError(str(error)) from error
+            apply_overrides(facebook_like_fleet(), request.override_mapping)
         elif request.kind == "portfolio":
-            from ..portfolio.catalog import OVERRIDABLE_FIELDS
-
-            for name, _ in request.overrides:
-                if name not in OVERRIDABLE_FIELDS:
-                    raise ServiceError(
-                        f"cannot sweep {name!r}: portfolio scenarios may "
-                        f"override {sorted(OVERRIDABLE_FIELDS)}"
-                    )
+            _check_portfolio_overrides(request.overrides)
 
     # ------------------------------------------------------------------
     # Batch execution

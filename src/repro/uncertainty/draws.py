@@ -87,11 +87,6 @@ class DrawMatrix:
                     f"{(self.num_scenarios, self.draws)}"
                 )
 
-    def scenario_samples(self, scenario: int) -> dict[str, np.ndarray]:
-        """One scenario's draw vectors, keyed by parameter path."""
-        self._check_scenario(scenario)
-        return {name: self.values[name][scenario] for name in self.names}
-
     def overrides(self, scenario: int, draw: int) -> dict[str, float]:
         """The point overrides of one (scenario, draw) cell."""
         self._check_scenario(scenario)

@@ -33,16 +33,16 @@ from ..analysis.uncertainty import is_distribution
 from ..core.embodied import EmbodiedModel
 from ..data.grids import US_GRID, region_names
 from ..datacenter.fleet import FleetParameters, simulate_fleet_batch
-from ..datacenter.heterogeneity import (
-    ServerType,
-    WorkloadClass,
-    provision_heterogeneous_batch,
-    provision_homogeneous_batch,
-)
+from ..datacenter.heterogeneity import ServerType, WorkloadClass
 from ..errors import SimulationError
 from ..exec import ExecOptions
 from ..exec.runner import _run_batch
-from ..scenarios.runner import OverridePlan, _scalar_axis_names, apply_overrides
+from ..scenarios.runner import (
+    OverridePlan,
+    _provisioning_metrics,
+    _scalar_axis_names,
+    apply_overrides,
+)
 from ..tabular import Table
 from ..units import CarbonIntensity
 from .draws import DrawMatrix, _check_records, build_draw_matrix
@@ -65,15 +65,6 @@ _FLEET_METRICS = (
     "coverage",
     "capex_fraction_market",
     "capex_to_opex_market",
-)
-
-#: Provisioning metrics (the deterministic sweep's result columns).
-_PROVISIONING_METRICS = (
-    "servers_homogeneous",
-    "servers_heterogeneous",
-    "total_t_homogeneous",
-    "total_t_heterogeneous",
-    "carbon_saving_fraction",
 )
 
 #: Policy-evaluation metrics sampled across trace-noise draws.
@@ -284,35 +275,18 @@ def _provisioning_uncertain_chunk(
 ) -> UncertainResult:
     """Chunk kernel: scenarios ``[start, stop)`` of an uncertain
     provisioning sweep; draw rows are rebuilt per scenario record."""
-    workloads, general, server_types, records, draws, seed, grid, model, keep = (
-        payload
-    )
+    fleet, records, draws, seed, keep = payload
     chunk = records[start:stop]
     matrix = build_draw_matrix(chunk, draws, seed)
-    target_axis = _flat_axis("utilization_target", chunk, matrix)
-    scale_axis = _flat_axis("demand_scale", chunk, matrix)
-
-    homogeneous = provision_homogeneous_batch(
-        workloads, general, target_axis, scale_axis
-    )
-    heterogeneous = provision_heterogeneous_batch(
-        workloads, server_types, target_axis, scale_axis
-    )
-    homo_total = homogeneous.total_per_year_grams(grid, model)
-    hetero_total = heterogeneous.total_per_year_grams(grid, model)
-    flat = Table(
-        {
-            "servers_homogeneous": homogeneous.total_servers(),
-            "servers_heterogeneous": heterogeneous.total_servers(),
-            "total_t_homogeneous": homo_total / 1e6,
-            "total_t_heterogeneous": hetero_total / 1e6,
-            "carbon_saving_fraction": 1.0 - hetero_total / homo_total,
-        }
+    metrics = _provisioning_metrics(
+        fleet,
+        _flat_axis("utilization_target", chunk, matrix),
+        _flat_axis("demand_scale", chunk, matrix),
     )
     return UncertainResult(
         axes=_axes_table(chunk, keep=keep, offset=start),
         samples=_reshape_metrics(
-            flat, _PROVISIONING_METRICS, len(chunk), draws
+            Table(metrics), tuple(metrics), len(chunk), draws
         ),
         draws=draws,
         seed=seed,
@@ -352,17 +326,8 @@ def sweep_provisioning_uncertain(
         for target in targets
         for scale in scales
     ]
-    payload = (
-        tuple(workloads),
-        general,
-        tuple(server_types),
-        records,
-        draws,
-        seed,
-        grid,
-        model,
-        _kept_axis_names(records),
-    )
+    fleet = (tuple(workloads), general, tuple(server_types), grid, model)
+    payload = (fleet, records, draws, seed, _kept_axis_names(records))
     return options.finish(*_run_batch(
         _provisioning_uncertain_chunk, payload, len(records), options,
         combine=UncertainResult.concat,

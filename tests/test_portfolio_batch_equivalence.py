@@ -50,8 +50,13 @@ _UNCERTAIN_GRID = ScenarioGrid(
         "node_shift": [0.0, 2.0],
         "defect_density_scale": [LogNormal.from_median(1.0, 0.25)],
         "lifetime_scale": [Triangular(0.8, 1.0, 1.4)],
+        "units": [LogNormal.from_median(2.0e6, 0.5)],
     }
 )
+
+#: ``units`` is the one axis whose ``(1, cells)`` row weights the
+#: summands inside the chunk kernel.
+_UNITS_GRID = ScenarioGrid(units=[1.0e5, 3.0e6], node_shift=[0.0, 1.0])
 
 
 # ----------------------------------------------------------------------
@@ -185,15 +190,21 @@ class TestSweepPortfolioEquivalence:
     def reference(self):
         return sweep_portfolio(_CATALOG, _GRID)
 
-    def test_matches_scalar_reference_exactly(self, reference):
-        expected = _scalar_sweep_rows(_GRID)
-        assert reference.num_rows == len(expected)
+    @pytest.mark.parametrize(
+        "grid,chunk_size",
+        [(_GRID, None), (_UNITS_GRID, 3)],
+        ids=["grid", "units_axis"],
+    )
+    def test_matches_scalar_reference_exactly(self, grid, chunk_size):
+        table = sweep_portfolio(_CATALOG, grid, chunk_size=chunk_size)
+        expected = _scalar_sweep_rows(grid)
+        assert table.num_rows == len(expected)
         for name in (
             "devices",
             "units",
             *PORTFOLIO_METRICS,
         ):
-            assert reference.column(name) == [row[name] for row in expected], (
+            assert table.column(name) == [row[name] for row in expected], (
                 name
             )
 

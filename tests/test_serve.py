@@ -729,6 +729,48 @@ class TestServiceEndpoints:
         assert scenario_resp[1]["error"] == "bad_request"
         assert portfolio_resp[0] == 400
 
+    @pytest.mark.parametrize(
+        "good,bad",
+        [
+            ({"lifetime_scale": 1.5}, {"lifetime_scale": -1.0}),
+            ({"node": "7nm"}, {"node": "99nm"}),
+            ({"node_shift": 1.0}, {"node_shift": "1"}),
+        ],
+    )
+    def test_bad_portfolio_value_does_not_poison_its_batch(self, good, bad):
+        async def scenario(service, client):
+            solo = await client.portfolio(good)
+            clients = [
+                ServiceClient("127.0.0.1", service.port) for _ in range(2)
+            ]
+            try:
+                pair = await asyncio.gather(
+                    clients[0].portfolio(good), clients[1].portfolio(bad)
+                )
+            finally:
+                for one in clients:
+                    await one.close()
+            return solo, pair
+
+        solo, (kept, refused) = run_service(
+            scenario, ServeConfig(batch_window_s=0.05)
+        )
+        assert solo[0] == kept[0] == 200
+        assert kept[1]["row"] == solo[1]["row"]
+        assert refused[0] == 400
+        assert refused[1]["error"] == "bad_request"
+
+    def test_non_numeric_scenario_value_is_400(self):
+        async def scenario(service, client):
+            refused = await client.scenario({"facility.pue": "abc"})
+            after = await client.scenario({"facility.pue": 1.2})
+            return refused, after
+
+        refused, after = run_service(scenario)
+        assert refused[0] == 400
+        assert refused[1]["error"] == "bad_request"
+        assert after[0] == 200
+
     def test_oversized_body_is_413(self):
         async def scenario(service, client):
             status, payload = await client.request(
