@@ -78,26 +78,15 @@ def _node_index(name: Any) -> int:
     return _NODE_INDEX[name]
 
 
-def _parameter_grid(
-    specs: Sequence[DeviceSpec],
-    records: Sequence[Mapping[str, Any]],
-    matrix: Any = None,
-) -> tuple:
-    """Broadcastable parameter arrays for (devices × scenario cells).
+def _device_grid(specs: Sequence[DeviceSpec]) -> tuple:
+    """The catalog's ``(devices, 1)`` parameter columns.
 
-    Device columns come out ``(devices, 1)``; scenario-record overrides
-    replace them with ``(1, cells)`` rows, where ``cells`` is
-    ``scenarios`` for point sweeps or ``scenarios × draws`` when a
-    :class:`~repro.uncertainty.draws.DrawMatrix` is supplied (its
-    sampled rows flatten scenario-major, draw-minor — the shared axis
-    convention). Returns ``(params, node_axis, murphy_mask, names,
-    scenario_fields)``.
+    Returns ``(params, node_axis, murphy_mask, names)``, the device half
+    of :func:`_parameter_grid`; a caller with a fixed catalog builds it
+    once.
     """
     if not specs:
         raise SimulationError("need at least one device in the portfolio")
-    if not records:
-        raise SimulationError("need at least one scenario")
-    draws = matrix.draws if matrix is not None else 1
     params: dict[str, np.ndarray] = {
         name: np.array(
             [float(getattr(spec, name)) for spec in specs], dtype=np.float64
@@ -110,7 +99,29 @@ def _parameter_grid(
     murphy_mask = np.array(
         [spec.yield_model == "murphy" for spec in specs], dtype=bool
     ).reshape(-1, 1)
-    names = [spec.name for spec in specs]
+    return params, node_axis, murphy_mask, [spec.name for spec in specs]
+
+
+def _parameter_grid(
+    devices: tuple,
+    records: Sequence[Mapping[str, Any]],
+    matrix: Any = None,
+) -> tuple:
+    """Broadcastable parameter arrays for (devices × scenario cells).
+
+    ``devices`` is a :func:`_device_grid`, whose ``(devices, 1)``
+    columns scenario-record overrides replace with ``(1, cells)`` rows,
+    where ``cells`` is ``scenarios`` for point sweeps or ``scenarios ×
+    draws`` when a :class:`~repro.uncertainty.draws.DrawMatrix` is
+    supplied (its sampled rows flatten scenario-major, draw-minor — the
+    shared axis convention). Returns ``(params, node_axis, murphy_mask,
+    names, scenario_fields)``.
+    """
+    if not records:
+        raise SimulationError("need at least one scenario")
+    draws = matrix.draws if matrix is not None else 1
+    device_params, node_axis, murphy_mask, names = devices
+    params = dict(device_params)
     scenario_fields: set[str] = set()
     for name in records[0]:
         if name not in OVERRIDABLE_FIELDS:
@@ -164,23 +175,41 @@ def _complain(
     )
 
 
-_POSITIVE_FIELDS = (
-    "die_area_mm2",
-    "wafer_diameter_mm",
-    "fab_intensity_g_per_kwh",
-    "use_intensity_g_per_kwh",
-    "battery_capacity_wh",
-    "active_power_w",
-    "lifetime_years",
-    "lifetime_scale",
-    "replacement_cycle_years",
-)
-_NON_NEGATIVE_FIELDS = (
-    "non_ic_kg",
-    "defect_density_scale",
-    "standby_power_w",
-    "units",
-)
+_POSITIVE = (lambda array: array <= 0.0, "must be positive")
+_NON_NEGATIVE = (lambda array: array < 0.0, "must be non-negative")
+_FRACTION = (lambda array: (array < 0.0) | (array > 1.0), "must be in [0, 1]")
+
+#: The range check ``DeviceSpec.__post_init__`` makes on each numeric
+#: field, as (bad-cell test, complaint).
+_RANGE_CHECKS = {
+    "die_area_mm2": _POSITIVE,
+    "non_ic_kg": _NON_NEGATIVE,
+    "battery_capacity_wh": _POSITIVE,
+    "active_hours_per_day": (
+        lambda array: (array < 0.0) | (array > 24.0),
+        "must be within a day",
+    ),
+    "active_power_w": _POSITIVE,
+    "use_intensity_g_per_kwh": _POSITIVE,
+    "lifetime_years": _POSITIVE,
+    "replacement_cycle_years": _POSITIVE,
+    "wafer_diameter_mm": _POSITIVE,
+    "fab_intensity_g_per_kwh": _POSITIVE,
+    "abatement_coverage": _FRACTION,
+    "abatement_efficiency": _FRACTION,
+    "defect_density_scale": _NON_NEGATIVE,
+    "node_shift": (
+        lambda array: array != np.trunc(array),
+        "must be an integral number of roadmap steps",
+    ),
+    "standby_power_w": _NON_NEGATIVE,
+    "charge_efficiency": (
+        lambda array: (array <= 0.0) | (array > 1.0),
+        "must be in (0, 1]",
+    ),
+    "lifetime_scale": _POSITIVE,
+    "units": _NON_NEGATIVE,
+}
 
 
 def _validate_params(
@@ -188,70 +217,36 @@ def _validate_params(
     names: Sequence[str],
     scenario_fields: "set[str]",
 ) -> None:
-    """Elementwise re-validation of (possibly overridden) parameters.
+    """Elementwise re-validation of the scenario-overridden parameters.
 
     The scalar path revalidates through ``DeviceSpec.__post_init__`` on
     every override application; the batch path mirrors those checks on
-    the parameter arrays so bad scenario values fail loudly — naming
-    the offending device or scenario cell — instead of flowing NaNs
-    into fleet aggregates.
+    the overridden ``(1, cells)`` rows so bad scenario values fail
+    loudly — naming the offending scenario cell — instead of flowing
+    NaNs into fleet aggregates. Device columns come from ``DeviceSpec``
+    instances, which ran the same checks when they were built, so only
+    the cross-field power check ever reads them.
     """
     for field, array in params.items():
+        if field not in scenario_fields:
+            continue
         finite = np.isfinite(array)
         if not finite.all():
             _complain(
                 field, array, ~finite, names, scenario_fields, "is non-finite"
             )
-    for field in _POSITIVE_FIELDS:
-        bad = params[field] <= 0.0
+        test, what = _RANGE_CHECKS[field]
+        bad = test(array)
+        if bad.any():
+            _complain(field, array, bad, names, scenario_fields, what)
+    if scenario_fields & {"active_power_w", "standby_power_w"}:
+        bad = params["active_power_w"] < params["standby_power_w"]
         if bad.any():
             _complain(
-                field, params[field], bad, names, scenario_fields,
-                "must be positive",
+                "active_power_w",
+                np.broadcast_to(params["active_power_w"], bad.shape),
+                bad, names, scenario_fields, "is below standby power",
             )
-    for field in _NON_NEGATIVE_FIELDS:
-        bad = params[field] < 0.0
-        if bad.any():
-            _complain(
-                field, params[field], bad, names, scenario_fields,
-                "must be non-negative",
-            )
-    for field in ("abatement_coverage", "abatement_efficiency"):
-        bad = (params[field] < 0.0) | (params[field] > 1.0)
-        if bad.any():
-            _complain(
-                field, params[field], bad, names, scenario_fields,
-                "must be in [0, 1]",
-            )
-    bad = (params["charge_efficiency"] <= 0.0) | (
-        params["charge_efficiency"] > 1.0
-    )
-    if bad.any():
-        _complain(
-            "charge_efficiency", params["charge_efficiency"], bad, names,
-            scenario_fields, "must be in (0, 1]",
-        )
-    hours = params["active_hours_per_day"]
-    bad = (hours < 0.0) | (hours > 24.0)
-    if bad.any():
-        _complain(
-            "active_hours_per_day", hours, bad, names, scenario_fields,
-            "must be within a day",
-        )
-    bad = params["active_power_w"] < params["standby_power_w"]
-    if bad.any():
-        _complain(
-            "active_power_w",
-            np.broadcast_to(params["active_power_w"], bad.shape),
-            bad, names, scenario_fields, "is below standby power",
-        )
-    shift = params["node_shift"]
-    bad = shift != np.trunc(shift)
-    if bad.any():
-        _complain(
-            "node_shift", shift, bad, names, scenario_fields,
-            "must be an integral number of roadmap steps",
-        )
 
 
 def _metrics(
@@ -370,7 +365,7 @@ def simulate_device_batch(specs: Sequence[DeviceSpec]) -> Table:
     """
     specs = tuple(specs)
     params, node_axis, murphy_mask, names, scenario_fields = _parameter_grid(
-        specs, [{}]
+        _device_grid(specs), [{}]
     )
     with active_recorder().span(
         "batch", fn="simulate_device_batch", scenarios=len(specs)

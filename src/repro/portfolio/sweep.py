@@ -36,7 +36,7 @@ from ..tabular import Table
 from ..uncertainty.draws import _check_records, build_draw_matrix
 from ..uncertainty.result import UncertainResult
 from ..uncertainty.sweeps import _axes_table, _reshape_metrics
-from .batch import _metrics, _parameter_grid
+from .batch import _device_grid, _metrics, _parameter_grid
 from .catalog import OVERRIDABLE_FIELDS, DeviceSpec
 
 __all__ = ["PORTFOLIO_METRICS", "sweep_portfolio", "sweep_portfolio_uncertain"]
@@ -99,7 +99,9 @@ def _portfolio_chunk(payload: tuple, start: int, stop: int) -> dict:
     full scenario axis and summand rows stack device-major.
     """
     specs, records = payload
-    return _summands(_parameter_grid(specs[start:stop], records), len(records))
+    return _summands(
+        _parameter_grid(_device_grid(specs[start:stop]), records), len(records)
+    )
 
 
 def _portfolio_uncertain_chunk(payload: tuple, start: int, stop: int) -> dict:
@@ -112,7 +114,7 @@ def _portfolio_uncertain_chunk(payload: tuple, start: int, stop: int) -> dict:
     specs, records, draws, seed = payload
     matrix = build_draw_matrix(records, draws, seed)
     return _summands(
-        _parameter_grid(specs[start:stop], records, matrix),
+        _parameter_grid(_device_grid(specs[start:stop]), records, matrix),
         len(records) * draws,
     )
 
@@ -166,22 +168,24 @@ def _fleet_sums(
     catalog: Iterable[DeviceSpec],
     scenarios: Iterable[Mapping[str, Any]],
     options: ExecOptions,
-    check: Callable[[list], None],
     *payload: Any,
+    distributions: bool,
     fn: str,
     **span: Any,
 ) -> "tuple[list[dict[str, Any]], dict[str, np.ndarray], Any]":
     """Both runners' shared path: validate, run the device shards, aggregate.
 
-    ``check`` is the runner's own record validation; ``payload`` rides
-    after ``(specs, records)`` into ``kernel``. Returns the checked
-    records, the per-cell fleet aggregates and the failure report.
+    Records may hold distribution values only when ``distributions``
+    is set (the uncertain runner); ``payload`` rides after ``(specs,
+    records)`` into ``kernel``. Returns the checked records, the
+    per-cell fleet aggregates and the failure report.
     """
     specs = tuple(catalog)
     if not specs:
         raise SimulationError("need at least one device in the portfolio")
     records = _check_records(list(scenarios))
-    check(records)
+    if not distributions:
+        _reject_distribution_values(records)
     _validate_axis_names(records)
     summands, report = _run_batch(
         kernel, (specs, records, *payload), len(specs), options,
@@ -216,7 +220,7 @@ def sweep_portfolio(
     options = ExecOptions(**options)
     records, aggregates, report = _fleet_sums(
         _portfolio_chunk, catalog, scenarios, options,
-        _reject_distribution_values, fn="sweep_portfolio",
+        distributions=False, fn="sweep_portfolio",
     )
     return options.finish(_attach_axes(records, Table(aggregates)), report)
 
@@ -246,14 +250,11 @@ def sweep_portfolio_uncertain(
     shards).
     """
     options = ExecOptions(**options)
-
-    def check_draws(records: list) -> None:
-        if draws <= 0:
-            raise SimulationError("draw count must be positive")
-
+    if draws <= 0:
+        raise SimulationError("draw count must be positive")
     records, aggregates, report = _fleet_sums(
-        _portfolio_uncertain_chunk, catalog, scenarios, options, check_draws,
-        draws, seed, fn="sweep_portfolio_uncertain", draws=draws,
+        _portfolio_uncertain_chunk, catalog, scenarios, options, draws, seed,
+        distributions=True, fn="sweep_portfolio_uncertain", draws=draws,
     )
     result = UncertainResult(
         axes=_axes_table(records),

@@ -44,7 +44,6 @@ from typing import Any, Mapping, Sequence
 from ..errors import ServiceError
 from ..exec import ExecOptions, ShardPlan
 from ..exec.runner import _run_sharded
-from ..portfolio.sweep import PORTFOLIO_METRICS
 from ..tabular import Table
 
 __all__ = [
@@ -211,11 +210,6 @@ def _surviving_indices(total: int, report: Any) -> list[int]:
     return [index for index in range(total) if index not in lost]
 
 
-#: Metric columns of a portfolio response row — a fixed schema, never
-#: the batch-dependent axis columns ``sweep_portfolio`` would attach.
-_PORTFOLIO_COLUMNS = ("devices", "units", *PORTFOLIO_METRICS)
-
-
 def _execute_scenarios(
     requests: Sequence[Request], options: ExecOptions
 ) -> list[Response]:
@@ -263,13 +257,15 @@ def _execute_portfolio(
     requests: Sequence[Request], options: ExecOptions
 ) -> list[Response]:
     """One ``sweep_portfolio`` call for N same-shaped cell requests."""
-    from ..portfolio import default_catalog, sweep_portfolio
+    from ..portfolio import PORTFOLIO_METRICS, default_catalog, sweep_portfolio
 
     records = [request.override_mapping for request in requests]
     table, report = options.split(
         sweep_portfolio(default_catalog(), records, **options)
     )
-    rows = _rows(table, _PORTFOLIO_COLUMNS)
+    # A fixed schema, never the batch-dependent axis columns
+    # ``sweep_portfolio`` would attach.
+    rows = _rows(table, ("devices", "units", *PORTFOLIO_METRICS))
     # The portfolio shards its *device* axis: a skipped chunk loses
     # devices, not scenarios, so every request keeps a row — computed
     # over the surviving devices and flagged degraded.

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import functools
 import json
 import time
 from typing import Any, Callable, Sequence
@@ -38,8 +37,6 @@ from ..errors import ServiceError, SimulationError
 from ..exec import ExecOptions
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import _update_metrics, active_recorder
-from ..portfolio import default_catalog
-from ..portfolio.batch import _parameter_grid, _validate_params
 from .batcher import DrainingError, MicroBatcher, OverloadedError
 from .breaker import CircuitBreaker, is_infrastructure_error
 from .config import ServeConfig
@@ -47,23 +44,6 @@ from .http import serve_connection
 from .requests import Request, Response, execute_group, parse_request
 
 __all__ = ["SweepService"]
-
-
-@functools.lru_cache(maxsize=1024)
-def _check_portfolio_overrides(
-    overrides: "tuple[tuple[str, Any], ...]",
-) -> None:
-    """Run the portfolio kernel's parameter checks on one override record.
-
-    Checks the record over the default catalog, as its coalesced batch
-    would. Building that parameter grid costs several times a coalesced
-    request's whole share of the service, so valid records are memoized
-    (clients repeat cells); a bad record raises every time.
-    """
-    params, _, _, names, fields = _parameter_grid(
-        default_catalog(), [dict(overrides)]
-    )
-    _validate_params(params, names, fields)
 
 
 class SweepService:
@@ -95,6 +75,13 @@ class SweepService:
             from ..exec.cache import ResultCache
 
             self._cache = ResultCache(self.config.cache_dir)
+        from ..portfolio import default_catalog
+        from ..portfolio.batch import _device_grid
+
+        # Portfolio requests run over the fixed default catalog, so its
+        # device columns are built once; admission checks each request's
+        # one-cell override row against them.
+        self._portfolio_devices = _device_grid(default_catalog())
         self._batcher = MicroBatcher(
             self._execute_batch,
             max_queue=self.config.max_queue,
@@ -271,8 +258,9 @@ class SweepService:
         A coalesced batch shares one kernel call; validating here keeps
         one client's bad override from poisoning its batchmates. A
         scenario request rebuilds the fleet preset; a portfolio request
-        runs the batch kernel's parameter checks over the default
-        catalog, the checks its coalesced batch would run.
+        runs the checks its coalesced batch would run, the batch
+        kernel's, on its one-cell override row against the default
+        catalog's device columns.
         """
         if request.kind == "scenario":
             from ..scenarios.presets import facebook_like_fleet
@@ -280,7 +268,12 @@ class SweepService:
 
             apply_overrides(facebook_like_fleet(), request.override_mapping)
         elif request.kind == "portfolio":
-            _check_portfolio_overrides(request.overrides)
+            from ..portfolio.batch import _parameter_grid, _validate_params
+
+            params, _, _, names, fields = _parameter_grid(
+                self._portfolio_devices, [request.override_mapping]
+            )
+            _validate_params(params, names, fields)
 
     # ------------------------------------------------------------------
     # Batch execution

@@ -418,6 +418,35 @@ class TestPortfolioErrors:
                 _CATALOG, [{"lifetime_scale": "forever"}]
             )
 
+    @pytest.mark.parametrize(
+        "field,value,complaint",
+        [
+            ("lifetime_years", 0.0, "must be positive"),
+            ("units", -1.0, "must be non-negative"),
+            ("abatement_coverage", 1.5, r"must be in \[0, 1\]"),
+            ("charge_efficiency", 0.0, r"must be in \(0, 1\]"),
+            ("active_hours_per_day", 25.0, "must be within a day"),
+            ("node_shift", 0.5, "must be an integral number"),
+        ],
+    )
+    def test_out_of_range_scenario_value_names_the_cell(
+        self, field, value, complaint
+    ):
+        with pytest.raises(
+            SimulationError, match=f"scenario cell 1: {field} {complaint}"
+        ):
+            sweep_portfolio(_CATALOG, [{field: 1.0}, {field: value}])
+
+    def test_power_overrides_are_checked_against_every_device(self):
+        with pytest.raises(
+            SimulationError, match="scenario cell 0: active_power_w is below"
+        ):
+            sweep_portfolio(_CATALOG, [{"active_power_w": 1e-9}])
+        with pytest.raises(
+            SimulationError, match="device '.*': active_power_w is below"
+        ):
+            sweep_portfolio(_CATALOG, [{"standby_power_w": 1.0e3}])
+
     def test_nonpositive_draws_rejected(self):
         with pytest.raises(SimulationError, match="draw"):
             sweep_portfolio_uncertain(
