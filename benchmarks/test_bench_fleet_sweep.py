@@ -4,7 +4,9 @@ The scenario engine's reason to exist: the same growth × lifetime ×
 PUE × utilization grid through ``simulate_fleet_batch`` (one
 struct-of-arrays kernel call) and through a per-scenario
 ``simulate_fleet`` loop. The acceptance gate is >=10x between the two
-recorded means.
+recorded means. The end-to-end bench runs the same grid through
+``sweep_fleet`` (columnar expansion, chunked kernel, result table), so
+its ratio to the bare-kernel bench is the expansion layer's cost.
 """
 
 from repro.datacenter.fleet import simulate_fleet, simulate_fleet_batch
@@ -12,6 +14,7 @@ from repro.scenarios import (
     ScenarioGrid,
     facebook_like_fleet,
     fleet_scenario_parameters,
+    sweep_fleet,
 )
 
 _GRID = ScenarioGrid(
@@ -43,3 +46,12 @@ def test_bench_fleet_sweep_scalar_1k(benchmark):
         lambda: [simulate_fleet(params) for params in scenarios]
     )
     assert len(reports) == 1000
+
+
+def test_bench_fleet_sweep_end_to_end_1k(benchmark):
+    base = facebook_like_fleet()
+    table = benchmark(lambda: sweep_fleet(base, _GRID, chunk_size=128))
+    assert table.num_rows == 1000
+    # Spot-check one row against the per-row oracle path.
+    reference = simulate_fleet_batch(_scenarios()).final_year_table()
+    assert table.column("capex_kt")[137] == reference.column("capex_kt")[137]

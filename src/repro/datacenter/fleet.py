@@ -10,8 +10,8 @@ variants and the opex/capex split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "FleetParameters",
     "FleetYearReport",
     "FleetBatchResult",
+    "FleetColumns",
     "simulate_fleet",
     "simulate_fleet_batch",
 ]
@@ -246,28 +247,30 @@ class FleetBatchResult:
             }
         )
 
-    def final_year_table(self) -> Table:
-        """One row per scenario: its last simulated year."""
+    def final_year_columns(self) -> dict[str, np.ndarray]:
+        """One array entry per scenario: its last simulated year."""
         rows = np.arange(self.num_scenarios)
         last = self.years - 1
-        return Table(
-            {
-                "scenario": rows,
-                "year": self.start_years + last,
-                "servers": self.servers[rows, last],
-                "energy_gwh": self.energy_joules[rows, last] / JOULES_PER_KWH / 1e6,
-                "opex_location_kt": self.opex_location_grams[rows, last] / 1e6 / 1e3,
-                "opex_market_kt": self.opex_market_grams[rows, last] / 1e6 / 1e3,
-                "capex_kt": self.capex_grams[rows, last] / 1e6 / 1e3,
-                "coverage": self.renewable_coverage[rows, last],
-                "capex_fraction_market": self.capex_fraction_market()[rows, last],
-                "capex_to_opex_market": self.capex_to_opex_market()[rows, last],
-            }
-        )
+        return {
+            "scenario": rows,
+            "year": self.start_years + last,
+            "servers": self.servers[rows, last],
+            "energy_gwh": self.energy_joules[rows, last] / JOULES_PER_KWH / 1e6,
+            "opex_location_kt": self.opex_location_grams[rows, last] / 1e6 / 1e3,
+            "opex_market_kt": self.opex_market_grams[rows, last] / 1e6 / 1e3,
+            "capex_kt": self.capex_grams[rows, last] / 1e6 / 1e3,
+            "coverage": self.renewable_coverage[rows, last],
+            "capex_fraction_market": self.capex_fraction_market()[rows, last],
+            "capex_to_opex_market": self.capex_to_opex_market()[rows, last],
+        }
+
+    def final_year_table(self) -> Table:
+        """One row per scenario: its last simulated year."""
+        return Table(self.final_year_columns())
 
 
 def _portfolio_schedule(
-    params: FleetParameters, horizon: int, cache: dict[int, tuple[float, float]]
+    params: FleetParameters, horizon: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-year (has_contracts, supply_joules, contracted_g_per_kwh).
 
@@ -283,86 +286,114 @@ def _portfolio_schedule(
         portfolio = params.renewable_ramp.get(index, portfolio)
         if not portfolio.contracts:
             continue
-        key = id(portfolio)
-        if key not in cache:
-            cache[key] = (
-                portfolio.annual_supply.joules,
-                portfolio.contracted_intensity().grams_per_kwh,
-            )
         has[index] = True
-        supply[index], contracted[index] = cache[key]
+        supply[index] = portfolio.annual_supply.joules
+        contracted[index] = portfolio.contracted_intensity().grams_per_kwh
     return has, supply, contracted
+
+
+@dataclass(frozen=True)
+class FleetColumns:
+    """Struct-of-arrays fleet kernel input, one entry per scenario:
+    ``lifetime`` in whole years (rounded, at least 1), and the dense
+    ``(scenarios, horizon)`` renewable schedule in the last three."""
+
+    initial_servers: np.ndarray
+    annual_growth: np.ndarray
+    years: np.ndarray
+    start_year: np.ndarray
+    lifetime: np.ndarray
+    idle_watts: np.ndarray
+    peak_watts: np.ndarray
+    utilization: np.ndarray
+    pue: np.ndarray
+    location_g_per_kwh: np.ndarray
+    embodied_grams: np.ndarray
+    construction_grams: np.ndarray
+    has_contracts: np.ndarray
+    supply_joules: np.ndarray
+    contracted_g_per_kwh: np.ndarray
+
+    @classmethod
+    def from_parameters(
+        cls,
+        scenarios: Sequence[FleetParameters],
+        embodied: EmbodiedModel | None = None,
+    ) -> FleetColumns:
+        """One entry per :class:`FleetParameters`, in order; embodied
+        carbon is evaluated once per distinct bill of materials and the
+        schedule once per distinct (ramp, years)."""
+        if not scenarios:
+            raise SimulationError("need at least one scenario")
+        embodied = embodied or EmbodiedModel()
+        horizon = max(params.years for params in scenarios)
+        embodied_cache: dict[int, float] = {}
+
+        def per_server_grams(server: ServerConfig) -> float:
+            key = id(server.bill)
+            if key not in embodied_cache:
+                embodied_cache[key] = server.embodied_carbon(embodied).grams
+            return embodied_cache[key]
+
+        def column(get: Callable[[FleetParameters], Any], dtype: type = np.float64):
+            return np.array([get(p) for p in scenarios], dtype=dtype)
+
+        initial = column(lambda p: p.initial_servers, np.int64)
+        growth = column(lambda p: p.annual_growth)
+        years = column(lambda p: p.years, np.int64)
+        start_years = column(lambda p: p.start_year, np.int64)
+        lifetime = column(lambda p: max(int(round(p.server.lifetime_years)), 1), np.int64)
+        idle = column(lambda p: p.server.idle_power.watts_value)
+        peak = column(lambda p: p.server.peak_power.watts_value)
+        utilization = column(lambda p: p.utilization)
+        pue = column(lambda p: p.facility.pue)
+        location = column(lambda p: p.location_intensity.grams_per_kwh)
+        per_server = column(lambda p: per_server_grams(p.server))
+        construction = column(lambda p: p.facility.construction_per_year().grams)
+        # One schedule per distinct (ramp, years), gathered per scenario.
+        keys = [(id(p.renewable_ramp), p.years) for p in scenarios]
+        distinct = dict(zip(keys, scenarios))
+        slot = {key: row for row, key in enumerate(distinct)}
+        rows = [slot[key] for key in keys]
+        schedules = [_portfolio_schedule(p, horizon) for p in distinct.values()]
+        has, supply, contracted = (np.array(arrays)[rows] for arrays in zip(*schedules))
+        return cls(
+            initial, growth, years, start_years, lifetime, idle, peak,
+            utilization, pue, location, per_server, construction,
+            has, supply, contracted,
+        )
+
+    def take(self, rows: np.ndarray) -> FleetColumns:
+        """The entries at ``rows`` (an index array), as a new block."""
+        return FleetColumns(
+            *(getattr(self, column.name)[rows] for column in fields(self))
+        )
 
 
 def simulate_fleet_batch(
     scenarios: Sequence[FleetParameters],
     embodied: EmbodiedModel | None = None,
 ) -> FleetBatchResult:
-    """Run many fleet simulations as one years × scenarios kernel.
+    """Run many fleet simulations as one years × scenarios kernel (the
+    scalar :func:`simulate_fleet` is the reference implementation)."""
+    return _fleet_kernel(FleetColumns.from_parameters(scenarios, embodied))
 
-    The scalar :func:`simulate_fleet` is the reference implementation;
-    this kernel keeps the short year loop in Python and vectorizes the
-    wide scenario axis with numpy. The cohort/refresh ring becomes a
-    rolling gather on the purchase history: the cohort retired in year
-    ``i`` is exactly the one purchased in year ``i - lifetime``.
-    Per-SKU embodied carbon is computed once per distinct
-    :class:`ServerConfig` instead of once per scenario.
-    """
-    if not scenarios:
-        raise SimulationError("need at least one scenario")
-    embodied = embodied or EmbodiedModel()
-    count = len(scenarios)
-    horizon = max(params.years for params in scenarios)
 
-    # Embodied carbon depends only on the bill of materials, which
-    # dataclasses.replace-derived SKU variants share — so scenario
-    # grids over e.g. lifetime hit one embodied evaluation per bill.
-    embodied_cache: dict[int, float] = {}
-
-    def per_server_grams(server: ServerConfig) -> float:
-        key = id(server.bill)
-        if key not in embodied_cache:
-            embodied_cache[key] = server.embodied_carbon(embodied).grams
-        return embodied_cache[key]
-
-    initial = np.array([p.initial_servers for p in scenarios], dtype=np.int64)
-    growth = np.array([p.annual_growth for p in scenarios], dtype=np.float64)
-    years = np.array([p.years for p in scenarios], dtype=np.int64)
-    start_years = np.array([p.start_year for p in scenarios], dtype=np.int64)
-    lifetime = np.array(
-        [max(int(round(p.server.lifetime_years)), 1) for p in scenarios],
-        dtype=np.int64,
-    )
+def _fleet_kernel(columns: FleetColumns) -> FleetBatchResult:
+    """The years × scenarios fleet kernel: a short Python year loop over
+    the numpy scenario axis. The cohort/refresh ring is a rolling gather
+    on the purchase history: the cohort retired in year ``i`` is exactly
+    the one purchased in year ``i - lifetime``."""
+    count, horizon = columns.has_contracts.shape
+    initial, growth = columns.initial_servers, columns.annual_growth
+    years, lifetime, pue = columns.years, columns.lifetime, columns.pue
+    location, contracted = columns.location_g_per_kwh, columns.contracted_g_per_kwh
+    per_server, construction = columns.embodied_grams, columns.construction_grams
+    has_contracts, supply_joules = columns.has_contracts, columns.supply_joules
     # Same arithmetic order as ServerConfig.power_at/annual_energy.
-    idle = np.array(
-        [p.server.idle_power.watts_value for p in scenarios], dtype=np.float64
-    )
-    span = np.array(
-        [p.server.peak_power.watts_value for p in scenarios], dtype=np.float64
-    ) - idle
-    utilization = np.array([p.utilization for p in scenarios], dtype=np.float64)
-    annual_joules = (idle + span * utilization) * SECONDS_PER_YEAR
-    pue = np.array([p.facility.pue for p in scenarios], dtype=np.float64)
-    location = np.array(
-        [p.location_intensity.grams_per_kwh for p in scenarios], dtype=np.float64
-    )
-    per_server = np.array(
-        [per_server_grams(p.server) for p in scenarios], dtype=np.float64
-    )
-    construction = np.array(
-        [p.facility.construction_per_year().grams for p in scenarios],
-        dtype=np.float64,
-    )
-
-    portfolio_cache: dict[int, tuple[float, float]] = {}
-    has_contracts = np.zeros((count, horizon), dtype=bool)
-    supply_joules = np.zeros((count, horizon), dtype=np.float64)
-    contracted = np.zeros((count, horizon), dtype=np.float64)
-    for index, params in enumerate(scenarios):
-        has, supply, gpk = _portfolio_schedule(params, horizon, portfolio_cache)
-        has_contracts[index] = has
-        supply_joules[index] = supply
-        contracted[index] = gpk
+    idle = columns.idle_watts
+    span = columns.peak_watts - idle
+    annual_joules = (idle + span * columns.utilization) * SECONDS_PER_YEAR
 
     servers = np.zeros((count, horizon), dtype=np.int64)
     purchased = np.zeros((count, horizon), dtype=np.int64)
@@ -421,7 +452,7 @@ def simulate_fleet_batch(
         coverage[active, index] = year_coverage[active]
 
     return FleetBatchResult(
-        start_years=start_years,
+        start_years=columns.start_year,
         years=years,
         servers=servers,
         servers_added=purchased,

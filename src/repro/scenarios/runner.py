@@ -1,11 +1,12 @@
 """Batched sweep runners: a grid in, a Table of results out.
 
-``sweep_fleet`` expands every scenario into a :class:`FleetParameters`
-(dotted override paths reach nested dataclasses) and runs them all
-through :func:`simulate_fleet_batch` — one vectorized kernel call, not
-one simulation per scenario. ``sweep_provisioning`` does the same for
-the heterogeneous-provisioning question. ``SWEEPS`` names a few
-ready-made decision-space explorations for the ``repro sweep`` CLI.
+``sweep_fleet`` builds each chunk's fleet-kernel parameter block
+column by column from the scenario dicts (dotted override paths reach
+nested dataclasses), never one :class:`FleetParameters` per scenario,
+and scores it with one vectorized kernel call. ``sweep_provisioning``
+does the same for the heterogeneous-provisioning question. ``SWEEPS``
+names a few ready-made decision-space explorations for the
+``repro sweep`` CLI.
 
 Every runner takes the :class:`repro.exec.ExecOptions` settings as
 keywords and routes through :func:`repro.exec.run_sharded`: the
@@ -27,9 +28,12 @@ import numpy as np
 
 from ..core.embodied import EmbodiedModel
 from ..data.grids import US_GRID
+from ..datacenter import Facility, ServerConfig
 from ..datacenter.fleet import (
     FleetBatchResult,
+    FleetColumns,
     FleetParameters,
+    _fleet_kernel,
     simulate_fleet_batch,
 )
 from ..datacenter.heterogeneity import (
@@ -208,7 +212,142 @@ def fleet_scenario_parameters(
     """One :class:`FleetParameters` per scenario dict."""
     records = [dict(scenario) for scenario in scenarios]
     _reject_distribution_values(records)
-    return [apply_overrides(base, scenario) for scenario in records]
+    return _expand_parameters(base, records)
+
+
+def _expand_parameters(
+    base: FleetParameters, records: Sequence[Mapping[str, Any]], matrix: Any = None
+) -> list[FleetParameters]:
+    """One :class:`FleetParameters` per (record, draw), scenario-major:
+    point values in key order, then each draw of ``matrix`` (a
+    :class:`~repro.uncertainty.DrawMatrix`, ``None`` for one draw)
+    through a compiled :class:`OverridePlan`. The columnar oracle."""
+    names, draws = (matrix.names, matrix.draws) if matrix is not None else ((), 1)
+    plan = OverridePlan(base, names) if names else None
+    expanded: list[FleetParameters] = []
+    for index, record in enumerate(records):
+        fixed = {name: value for name, value in record.items() if name not in names}
+        scenario_base = apply_overrides(base, fixed) if fixed else base
+        if plan is None:
+            expanded.extend([scenario_base] * draws)
+            continue
+        columns = [matrix.values[name][index] for name in names]
+        expanded.extend(
+            plan.apply(scenario_base, {
+                name: float(column[draw]) for name, column in zip(names, columns)
+            })
+            for draw in range(draws)
+        )
+    return expanded
+
+
+#: Columnar leaf paths -> (FleetColumns field, the owning dataclass's
+#: __post_init__ raise condition, elementwise as written there).
+_LEAF_COLUMNS: dict[str, tuple[str, Callable[[np.ndarray], np.ndarray]]] = {
+    "annual_growth": ("annual_growth", lambda v: v < 0.0),
+    "utilization": ("utilization", lambda v: ~((0.0 <= v) & (v <= 1.0))),
+    # Also flags NaN, inf and values past float64's exact integers.
+    "server.lifetime_years": ("lifetime", lambda v: (v <= 0.0) | ~(v < 2.0**53)),
+    "facility.pue": ("pue", lambda v: v < 1.0),
+}
+
+#: Leaf values a float64 column holds exactly; anything else (strings,
+#: None, numpy bools, long doubles) takes the per-row path.
+_LEAF_NUMBERS = (int, float, np.integer, np.float32, np.float16)
+
+
+def _fleet_columns(
+    base: FleetParameters,
+    records: Sequence[Mapping[str, Any]],
+    embodied: EmbodiedModel | None,
+    matrix: Any = None,
+) -> FleetColumns | None:
+    """The :func:`_expand_parameters` rows as a kernel block, by column.
+
+    Leaf paths become float64 columns (point values repeat over draws,
+    sampled ones are the draw matrix's rows); every other path goes
+    through :func:`apply_overrides` once per distinct combination of
+    value objects, gathered per row. A leaf set before a later path that
+    replaces its owner applies with that path. ``None`` when a leaf
+    value is not a plain number or fails its dataclass check.
+    """
+    tagged = matrix.values if matrix is not None else {}
+    draws = matrix.draws if matrix is not None else 1
+    if tagged:
+        OverridePlan(base, matrix.names)  # the per-row path's path checks
+    sampled = [name for name in tagged if name not in _LEAF_COLUMNS]
+    combos: dict[tuple, tuple[int, list]] = {}  # key -> (slot, overrides)
+    inverse = np.empty((len(records), draws), dtype=np.intp)
+    leaves = {path: ([], []) for path in _LEAF_COLUMNS if path not in tagged}
+    layouts: dict[tuple, list[int]] = {}
+    for index, record in enumerate(records):
+        layouts.setdefault(tuple(record), []).append(index)
+    for keys, indices in layouts.items():
+        fixed = [path for path in keys if path not in tagged]
+        structural = [path for position, path in enumerate(fixed) if path not in leaves
+                      or path.rpartition(".")[0] in fixed[position:]]
+        for path in fixed:
+            if path not in structural:
+                leaves[path][0].extend(indices)
+                leaves[path][1].extend(records[index][path] for index in indices)
+        if not structural and not sampled:
+            inverse[indices] = combos.setdefault((), (len(combos), []))[0]
+            continue
+        for index in indices:
+            items = [(path, records[index][path]) for path in structural]
+            key = tuple((path, id(value)) for path, value in items)
+            if not sampled:
+                inverse[index] = combos.setdefault(key, (len(combos), items))[0]
+                continue
+            for draw in range(draws):
+                point = [(name, float(tagged[name][index, draw])) for name in sampled]
+                combo = (len(combos), items + point)
+                inverse[index, draw] = combos.setdefault(key + tuple(point), combo)[0]
+    params = [apply_overrides(base, dict(items)) for _, items in combos.values()]
+    exact = (FleetParameters, ServerConfig, Facility)
+    if any((type(p), type(p.server), type(p.facility)) != exact for p in params):
+        return None
+    columns = FleetColumns.from_parameters(params, embodied)
+    rows = inverse.reshape(-1)
+    if not np.array_equal(rows, np.arange(rows.size)):
+        columns = columns.take(rows)
+    for path, (name, invalid) in _LEAF_COLUMNS.items():
+        if path in tagged:
+            at, values = slice(None), tagged[path]
+        elif leaves[path][0]:
+            at, raw = leaves[path]
+            if not all(isinstance(value, _LEAF_NUMBERS) for value in raw):
+                return None
+            values = np.array(raw, dtype=np.float64)[:, None]
+        else:
+            continue
+        if np.any(invalid(values)):
+            return None
+        if name == "lifetime":
+            values = np.maximum(np.rint(values), 1.0).astype(np.int64)
+        getattr(columns, name).reshape(len(records), draws)[at] = values
+    return columns
+
+
+def _fleet_batch(
+    base: FleetParameters,
+    records: Sequence[Mapping[str, Any]],
+    embodied: EmbodiedModel | None,
+    matrix: Any = None,
+) -> FleetBatchResult:
+    """The fleet kernel over every (record, draw) row, scenario-major.
+
+    A chunk the columnar expansion flags, or whose group build raises,
+    reruns through :func:`_expand_parameters` and the list adapter, so
+    the result (or the exception) is exactly the per-row path's.
+    """
+    try:
+        columns = _fleet_columns(base, records, embodied, matrix)
+    except Exception:  # the per-row path raises its own, first bad row first
+        columns = None
+    if columns is None:
+        return simulate_fleet_batch(_expand_parameters(base, records, matrix), embodied)
+    return _fleet_kernel(columns)
 
 
 def _fleet_chunk(payload: tuple, start: int, stop: int) -> Table:
@@ -220,10 +359,8 @@ def _fleet_chunk(payload: tuple, start: int, stop: int) -> Table:
     """
     base, records, embodied, keep = payload
     chunk = records[start:stop]
-    batch = simulate_fleet_batch(
-        [apply_overrides(base, record) for record in chunk], embodied
-    )
-    return _attach_axes(chunk, batch.final_year_table(), keep=keep)
+    batch = _fleet_batch(base, chunk, embodied)
+    return _attach_axes(chunk, batch.final_year_columns(), keep=keep)
 
 
 def sweep_fleet(
@@ -287,10 +424,11 @@ def _scalar_axis_names(
 
 def _attach_axes(
     records: Sequence[Mapping[str, Any]],
-    results: Table,
+    results: "Table | Mapping[str, Any]",
     keep: Sequence[str] | None = None,
 ) -> Table:
-    """Prefix result rows with their scenario's axis values."""
+    """Prefix result rows (a table, or columns by name) with their
+    scenario's axis values."""
     if not records:
         raise SimulationError("need at least one scenario")
     if keep is None:
@@ -299,9 +437,11 @@ def _attach_axes(
         name.replace(".", "_"): [record[name] for record in records]
         for name in keep
     }
-    for name in results.column_names:
+    if isinstance(results, Table):
+        results = {name: results.column(name) for name in results.column_names}
+    for name, values in results.items():
         if name != "scenario":
-            columns[name] = results.column(name)
+            columns[name] = values
     return Table(columns)
 
 

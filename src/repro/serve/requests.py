@@ -15,8 +15,8 @@ Three request kinds exist:
 
 * ``scenario`` — dotted-path overrides on the Facebook-like fleet
   preset, answered with the final simulated year's fleet metrics
-  (one :func:`~repro.datacenter.fleet.simulate_fleet_batch` call for
-  the whole batch).
+  (one fleet-kernel call for the whole batch, through the fleet
+  sweep's chunk kernel).
 * ``portfolio`` — scenario-cell overrides on the default device
   catalog, answered with the fleet-aggregated
   :data:`~repro.portfolio.PORTFOLIO_METRICS` row (one
@@ -213,7 +213,7 @@ def _surviving_indices(total: int, report: Any) -> list[int]:
 def _execute_scenarios(
     requests: Sequence[Request], options: ExecOptions
 ) -> list[Response]:
-    """One ``simulate_fleet_batch`` call for N scenario requests.
+    """One fleet-kernel call for N scenario requests.
 
     The fleet sweep's chunk kernel with no axis columns kept emits
     exactly the metric columns, so the response schema carries no

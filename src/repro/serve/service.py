@@ -77,10 +77,11 @@ class SweepService:
             self._cache = ResultCache(self.config.cache_dir)
         from ..portfolio import default_catalog
         from ..portfolio.batch import _device_grid
+        from ..scenarios.presets import facebook_like_fleet
 
-        # Portfolio requests run over the fixed default catalog, so its
-        # device columns are built once; admission checks each request's
-        # one-cell override row against them.
+        # Scenario and portfolio requests run over fixed bases, built once
+        # here; admission checks each request's overrides against them.
+        self._fleet_base = facebook_like_fleet()
         self._portfolio_devices = _device_grid(default_catalog())
         self._batcher = MicroBatcher(
             self._execute_batch,
@@ -257,16 +258,15 @@ class SweepService:
 
         A coalesced batch shares one kernel call; validating here keeps
         one client's bad override from poisoning its batchmates. A
-        scenario request rebuilds the fleet preset; a portfolio request
-        runs the checks its coalesced batch would run, the batch
-        kernel's, on its one-cell override row against the default
-        catalog's device columns.
+        scenario request's overrides apply to the fleet preset built at
+        construction; a portfolio request runs the checks its coalesced
+        batch would run, the batch kernel's, on its one-cell override
+        row against the default catalog's device columns.
         """
         if request.kind == "scenario":
-            from ..scenarios.presets import facebook_like_fleet
             from ..scenarios.runner import apply_overrides
 
-            apply_overrides(facebook_like_fleet(), request.override_mapping)
+            apply_overrides(self._fleet_base, request.override_mapping)
         elif request.kind == "portfolio":
             from ..portfolio.batch import _parameter_grid, _validate_params
 

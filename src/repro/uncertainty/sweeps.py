@@ -2,8 +2,8 @@
 
 Each runner takes distribution-tagged scenarios, builds a seeded
 (scenarios × draws) draw matrix, expands it along the existing batched
-kernels' scenario axis, and makes a *single* batched call —
-``simulate_fleet_batch``, ``provision_*_batch``, or
+kernels' scenario axis, and makes a *single* batched call — the fleet
+kernel (fed parameter columns), ``provision_*_batch``, or
 ``evaluate_policies`` — for the whole cross-product. There is no
 per-draw Python loop around a kernel anywhere; a draw is just one more
 scenario to the kernel.
@@ -32,16 +32,15 @@ import numpy as np
 from ..analysis.uncertainty import is_distribution
 from ..core.embodied import EmbodiedModel
 from ..data.grids import US_GRID, region_names
-from ..datacenter.fleet import FleetParameters, simulate_fleet_batch
+from ..datacenter.fleet import FleetParameters
 from ..datacenter.heterogeneity import ServerType, WorkloadClass
 from ..errors import SimulationError
 from ..exec import ExecOptions
 from ..exec.runner import _run_batch
 from ..scenarios.runner import (
-    OverridePlan,
+    _fleet_batch,
     _provisioning_metrics,
     _scalar_axis_names,
-    apply_overrides,
 )
 from ..tabular import Table
 from ..units import CarbonIntensity
@@ -123,13 +122,14 @@ def _axes_table(
 
 
 def _reshape_metrics(
-    table: Table,
+    columns: "Table | Mapping[str, Any]",
     metrics: Sequence[str],
     num_scenarios: int,
     draws: int,
     allow_non_finite: Sequence[str] = (),
 ) -> dict[str, np.ndarray]:
     """Split flat (scenarios × draws) result columns into sample matrices.
+    ``columns`` is a result table or a mapping of name to flat array.
 
     Mirrors the scalar reference's non-finite guard: ``monte_carlo``
     raises on inf/NaN model outputs naming the offending draw, and so
@@ -138,9 +138,10 @@ def _reshape_metrics(
     (``capex_to_opex_market`` is inf when renewables drive market opex
     to zero).
     """
+    column = columns.column if isinstance(columns, Table) else columns.__getitem__
     samples: dict[str, np.ndarray] = {}
     for metric in metrics:
-        matrix = np.asarray(table.column(metric), dtype=np.float64).reshape(
+        matrix = np.asarray(column(metric), dtype=np.float64).reshape(
             num_scenarios, draws
         )
         if metric not in allow_non_finite:
@@ -168,31 +169,7 @@ def _fleet_uncertain_chunk(payload: tuple, start: int, stop: int) -> UncertainRe
     base, records, draws, seed, embodied, keep = payload
     chunk = records[start:stop]
     matrix = build_draw_matrix(chunk, draws, seed)
-    expanded: list[FleetParameters] = []
-    plan = OverridePlan(base, matrix.names) if matrix.names else None
-    for index, record in enumerate(chunk):
-        fixed = {
-            name: value
-            for name, value in record.items()
-            if name not in matrix.values
-        }
-        scenario_base = apply_overrides(base, fixed) if fixed else base
-        if plan is None:
-            expanded.extend([scenario_base] * draws)
-            continue
-        columns = [matrix.values[name][index] for name in matrix.names]
-        for draw in range(draws):
-            expanded.append(
-                plan.apply(
-                    scenario_base,
-                    {
-                        name: float(column[draw])
-                        for name, column in zip(matrix.names, columns)
-                    },
-                )
-            )
-    batch = simulate_fleet_batch(expanded, embodied)
-    final = batch.final_year_table()
+    final = _fleet_batch(base, chunk, embodied, matrix).final_year_columns()
     return UncertainResult(
         axes=_axes_table(chunk, keep=keep, offset=start),
         samples=_reshape_metrics(
@@ -222,15 +199,14 @@ def sweep_fleet_uncertain(
 
     Every scenario's tagged parameters are sampled ``draws`` times
     (per-scenario ``default_rng(seed)`` streams — see
-    :mod:`repro.uncertainty.draws`), the (scenarios × draws) parameter
-    sets are expanded through a compiled
-    :class:`~repro.scenarios.runner.OverridePlan`, and one
-    :func:`~repro.datacenter.fleet.simulate_fleet_batch` call scores
-    them all per chunk. Metrics are the final simulated year's fleet
-    columns. ``options`` are the :class:`repro.exec.ExecOptions`
-    settings; ``jobs``/``chunk_size`` shard the scenario axis, peak
-    kernel memory is bounded by ``chunk_size × draws`` parameter sets,
-    and the samples are bit-identical for every configuration.
+    :mod:`repro.uncertainty.draws`), each chunk's (scenarios × draws)
+    rows are built as one :class:`~repro.datacenter.fleet.FleetColumns`
+    block straight from the draw matrix, and one kernel call scores
+    them. Metrics are the final simulated year's fleet columns.
+    ``options`` are the :class:`repro.exec.ExecOptions` settings;
+    ``jobs``/``chunk_size`` shard the scenario axis, peak kernel memory
+    is bounded by ``chunk_size × draws`` rows, and the samples are
+    bit-identical for every configuration.
 
     Non-finite samples raise, mirroring the scalar ``monte_carlo``
     guard — except ``capex_to_opex_market``, where inf is the kernel's
@@ -285,9 +261,7 @@ def _provisioning_uncertain_chunk(
     )
     return UncertainResult(
         axes=_axes_table(chunk, keep=keep, offset=start),
-        samples=_reshape_metrics(
-            Table(metrics), tuple(metrics), len(chunk), draws
-        ),
+        samples=_reshape_metrics(metrics, tuple(metrics), len(chunk), draws),
         draws=draws,
         seed=seed,
     )
