@@ -68,7 +68,8 @@ if [[ "$quick" -eq 1 ]]; then
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/chaos_sweep.py \
         --trace-out "$trace"
     # Portfolio smoke: the device-axis-sharded sweep must survive the
-    # same storm (its chunk starts come from SweepSpec.axis_size).
+    # same storm (its chunk starts come from the clean run's
+    # sharded_run span).
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/chaos_sweep.py \
         --sweep portfolio
     # Stats smoke: the trace the storm just wrote must render.

@@ -2,14 +2,17 @@
 
 Runners accept them as keywords, build one :class:`ExecOptions` —
 validated here, once — and hand it to the sharded engine; the value
-also applies the public ``raise``/``skip`` return contract.
+also applies the public ``raise``/``skip`` return contract, which
+:func:`_public_runner` wraps around every runner once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import ExecutionError
 from .checkpoint import CheckpointStore
@@ -89,8 +92,34 @@ class ExecOptions:
         """The public return value of a run that produced ``(result, report)``."""
         return (result, report) if self.on_error == "skip" else result
 
-    def split(self, outcome: Any) -> "tuple[Any, FailureReport | None]":
-        """``(result, report)`` from a public return value (:meth:`finish`'s
-        inverse); the report is ``None`` under ``on_error="raise"``, where
-        any failure was raised instead."""
-        return outcome if self.on_error == "skip" else (outcome, None)
+
+def _public_runner(run: Callable[..., Any]) -> Callable[..., Any]:
+    """The public form of ``run``, which takes an :class:`ExecOptions`
+    value as its keyword ``options`` and returns the internal
+    ``(result, FailureReport)`` pair.
+
+    The public function takes the settings as ``**options`` keywords
+    instead (a misspelled one is a ``TypeError`` naming it) and returns
+    what :meth:`ExecOptions.finish` makes of the pair. Its
+    ``__wrapped__`` is ``run``, for callers inside the layer.
+    """
+    settings = {field.name for field in dataclasses.fields(ExecOptions)}
+
+    @functools.wraps(run)
+    def public(*args: Any, **kwargs: Any) -> Any:
+        options = ExecOptions(
+            **{name: kwargs.pop(name) for name in settings & kwargs.keys()}
+        )
+        return options.finish(*run(*args, options=options, **kwargs))
+
+    signature = inspect.signature(run)
+    public.__signature__ = signature.replace(  # type: ignore[attr-defined]
+        parameters=[
+            *(p for p in signature.parameters.values() if p.name != "options"),
+            inspect.Parameter(
+                "options", inspect.Parameter.VAR_KEYWORD, annotation="Any"
+            ),
+        ],
+        return_annotation=inspect.Signature.empty,
+    )
+    return public

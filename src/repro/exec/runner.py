@@ -55,7 +55,7 @@ from typing import Any, Callable, Sequence
 from ..errors import ChunkFailedError, CorruptChunkError, ExecutionError
 from ..obs.recorder import NULL_RECORDER, active_recorder
 from .faults import FaultSpec, active_fault_spec, corrupt_bytes, perform_fault
-from .options import ExecOptions
+from .options import ExecOptions, _public_runner
 from .plan import Shard, ShardPlan
 from .retry import ChunkFailure, FailureReport, RetryPolicy
 
@@ -668,6 +668,7 @@ def _run_batch(
         return _run_sharded(kernel, payload, plan, options, combine=combine)
 
 
+@_public_runner
 def run_sharded(
     kernel: Callable[[Any, int, int], Any],
     payload: Any,
@@ -675,8 +676,8 @@ def run_sharded(
     *,
     combine: "Callable[[Sequence[Any]], Any] | None" = None,
     faults: "FaultSpec | None" = None,
-    **options: Any,
-) -> Any:
+    options: ExecOptions,
+) -> "tuple[Any, FailureReport]":
     """Run ``kernel`` over every shard of ``plan`` and reduce the chunks.
 
     ``kernel(payload, start, stop)`` is called once per shard — inline
@@ -698,11 +699,8 @@ def run_sharded(
     one (installed spec, then the ``REPRO_FAULTS`` environment
     variable).
     """
-    options = ExecOptions(**options)
     if options.chunk_size is not None:
         raise TypeError("run_sharded() takes its chunk_size from the plan")
-    return options.finish(
-        *_run_sharded(
-            kernel, payload, plan, options, combine=combine, faults=faults
-        )
+    return _run_sharded(
+        kernel, payload, plan, options, combine=combine, faults=faults
     )

@@ -29,11 +29,12 @@ import numpy as np
 
 from ..analysis.uncertainty import is_distribution
 from ..errors import SimulationError
-from ..exec import ExecOptions
+from ..exec import ExecOptions, FailureReport
+from ..exec.options import _public_runner
 from ..exec.runner import _run_batch
 from ..scenarios.runner import _attach_axes, _reject_distribution_values
 from ..tabular import Table
-from ..uncertainty.draws import _check_records, build_draw_matrix
+from ..uncertainty.draws import _check_draws, _check_records, build_draw_matrix
 from ..uncertainty.result import UncertainResult
 from ..uncertainty.sweeps import _axes_table, _reshape_metrics
 from .batch import _device_grid, _metrics, _parameter_grid
@@ -195,11 +196,13 @@ def _fleet_sums(
     return records, _aggregate(summands), report
 
 
+@_public_runner
 def sweep_portfolio(
     catalog: Iterable[DeviceSpec],
     scenarios: Iterable[Mapping[str, Any]],
-    **options: Any,
-) -> Table:
+    *,
+    options: ExecOptions,
+) -> "tuple[Table, FailureReport]":
     """Run a device catalog through a scenario grid, fleet-aggregated.
 
     Returns one row per scenario: the scenario's scalar axis values,
@@ -217,22 +220,22 @@ def sweep_portfolio(
     ``on_error="skip"`` the table aggregates only the devices whose
     chunks survived.
     """
-    options = ExecOptions(**options)
     records, aggregates, report = _fleet_sums(
         _portfolio_chunk, catalog, scenarios, options,
         distributions=False, fn="sweep_portfolio",
     )
-    return options.finish(_attach_axes(records, Table(aggregates)), report)
+    return _attach_axes(records, Table(aggregates)), report
 
 
+@_public_runner
 def sweep_portfolio_uncertain(
     catalog: Iterable[DeviceSpec],
     scenarios: Iterable[Mapping[str, Any]],
     *,
     draws: int = 256,
     seed: int = 0,
-    **options: Any,
-) -> UncertainResult:
+    options: ExecOptions,
+) -> "tuple[UncertainResult, FailureReport]":
     """Portfolio sweep with distribution-tagged scenario axes.
 
     Tagged axes (fab-yield via ``defect_density_scale``, lifetime via
@@ -249,9 +252,7 @@ def sweep_portfolio_uncertain(
     :class:`repro.exec.ExecOptions` settings (the *device* axis is what
     shards).
     """
-    options = ExecOptions(**options)
-    if draws <= 0:
-        raise SimulationError("draw count must be positive")
+    _check_draws(draws)
     records, aggregates, report = _fleet_sums(
         _portfolio_uncertain_chunk, catalog, scenarios, options, draws, seed,
         distributions=True, fn="sweep_portfolio_uncertain", draws=draws,
@@ -264,4 +265,4 @@ def sweep_portfolio_uncertain(
         draws=draws,
         seed=seed,
     )
-    return options.finish(result, report)
+    return result, report

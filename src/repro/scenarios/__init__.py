@@ -7,7 +7,9 @@ supplies the axes (:class:`ScenarioGrid`, :class:`ScenarioSet`), the
 batched runners (:func:`sweep_fleet`, :func:`sweep_provisioning`,
 :func:`sweep_temporal_shifting`) built on the struct-of-arrays
 datacenter and trace kernels, and the named sweeps behind the
-``repro sweep`` CLI.
+``repro sweep`` CLI — a registry of :class:`SweepSpec` data (runner
+pair, input factory, point axes, distribution-tagged axes) run by one
+dispatcher.
 """
 
 from .grid import ScenarioGrid, ScenarioSet

@@ -6,10 +6,14 @@ nested dataclasses), never one :class:`FleetParameters` per scenario,
 and scores it with one vectorized kernel call. ``sweep_provisioning``
 does the same for the heterogeneous-provisioning question. ``SWEEPS``
 names a few ready-made decision-space explorations for the
-``repro sweep`` CLI.
+``repro sweep`` CLI; each is a :class:`SweepSpec` of data — a runner
+pair, an input factory, point axes and distribution-tagged axes — that
+one dispatcher runs in either mode.
 
 Every runner takes the :class:`repro.exec.ExecOptions` settings as
-keywords and routes through :func:`repro.exec.run_sharded`: the
+keywords (its ``__wrapped__`` form takes the options value and returns
+the internal ``(result, FailureReport)`` pair) and routes through
+:func:`repro.exec.run_sharded`: the
 scenario axis is split into contiguous chunks (peak kernel memory is
 bounded by ``chunk_size`` scenarios) evaluated inline or over a process
 pool, and the chunk tables are stacked with
@@ -21,11 +25,19 @@ element-identical to monolithic runs for any chunk/job configuration
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..analysis.uncertainty import (
+    LogNormal,
+    Mixture,
+    Normal,
+    Triangular,
+    is_distribution,
+)
 from ..core.embodied import EmbodiedModel
 from ..data.grids import US_GRID
 from ..datacenter import Facility, ServerConfig
@@ -44,12 +56,14 @@ from ..datacenter.heterogeneity import (
 )
 from ..errors import SimulationError
 from ..exec import ExecOptions, FailureReport
-from ..exec.runner import _run_batch
+from ..exec.options import _public_runner
+from ..exec.runner import _run_batch, resolve_kernel
 from ..obs.recorder import active_recorder
 from ..tabular import Table
+from ..traces import canonical_workloads, profile_catalog
+from ..traces.evaluate import evaluate_policies
 from ..units import CarbonIntensity
 from .grid import ScenarioGrid
-from .presets import example_service_mix, facebook_like_fleet
 
 __all__ = [
     "apply_overrides",
@@ -193,8 +207,6 @@ class OverridePlan:
 
 def _reject_distribution_values(scenarios: Sequence[Mapping[str, Any]]) -> None:
     """Deterministic runners cannot evaluate distribution-tagged axes."""
-    from ..analysis.uncertainty import is_distribution
-
     for index, scenario in enumerate(scenarios):
         tagged = [name for name, value in scenario.items() if is_distribution(value)]
         if tagged:
@@ -363,12 +375,14 @@ def _fleet_chunk(payload: tuple, start: int, stop: int) -> Table:
     return _attach_axes(chunk, batch.final_year_columns(), keep=keep)
 
 
+@_public_runner
 def sweep_fleet(
     base: FleetParameters,
     scenarios: Iterable[Mapping[str, Any]],
     embodied: EmbodiedModel | None = None,
-    **options: Any,
-) -> Table:
+    *,
+    options: ExecOptions,
+) -> "tuple[Table, FailureReport]":
     """Run a fleet scenario sweep through the batched kernel.
 
     Returns one row per scenario: the scenario's axis values followed
@@ -377,16 +391,15 @@ def sweep_fleet(
     shard the scenario axis and the result is element-identical for
     every configuration.
     """
-    options = ExecOptions(**options)
     records = [dict(scenario) for scenario in scenarios]
     if not records:
         raise SimulationError("need at least one scenario")
     _reject_distribution_values(records)
     payload = (base, records, embodied, _scalar_axis_names(records))
-    return options.finish(*_run_batch(
+    return _run_batch(
         _fleet_chunk, payload, len(records), options, combine=Table.concat,
         fn="sweep_fleet", scenarios=len(records),
-    ))
+    )
 
 
 def _reject_distribution_axis(name: str, values: np.ndarray) -> None:
@@ -491,6 +504,7 @@ def _provisioning_chunk(payload: tuple, start: int, stop: int) -> Table:
     )
 
 
+@_public_runner
 def sweep_provisioning(
     workloads: Sequence[WorkloadClass],
     general: ServerType,
@@ -499,8 +513,9 @@ def sweep_provisioning(
     demand_scales: "float | Sequence[float]" = 1.0,
     grid: CarbonIntensity | None = None,
     model: EmbodiedModel | None = None,
-    **options: Any,
-) -> Table:
+    *,
+    options: ExecOptions,
+) -> "tuple[Table, FailureReport]":
     """Homogeneous vs heterogeneous provisioning across scenarios.
 
     Scenario axes are the cartesian product of utilization targets and
@@ -509,7 +524,6 @@ def sweep_provisioning(
     are the :class:`repro.exec.ExecOptions` settings; sharding the
     scenario axis leaves the results element-identical.
     """
-    options = ExecOptions(**options)
     grid = grid or US_GRID.intensity
     model = model or EmbodiedModel()
     _reject_distribution_axis(
@@ -525,19 +539,38 @@ def sweep_provisioning(
     fleet = (tuple(workloads), general, tuple(server_types), grid, model)
     payload = (fleet, target_axis, scale_axis)
     size = int(target_axis.shape[0])
-    return options.finish(*_run_batch(
+    return _run_batch(
         _provisioning_chunk, payload, size, options, combine=Table.concat,
         fn="sweep_provisioning", scenarios=size,
-    ))
+    )
 
 
+def _provisioning_grid(
+    mix: tuple, scenarios: ScenarioGrid, *, options: ExecOptions
+) -> "tuple[Table, FailureReport]":
+    """:func:`sweep_provisioning` as a registered runner: the
+    ``(workloads, general, server_types)`` mix, then a grid whose axes
+    are the runner's axis keywords."""
+    return sweep_provisioning.__wrapped__(*mix, **scenarios.axes, options=options)
+
+
+def _check_shifting_hours(hours: int) -> None:
+    """The temporal-shifting sweeps' canonical workloads span two days."""
+    if hours < 48:
+        raise SimulationError(
+            "the temporal-shifting sweep's workloads span two days; "
+            f"need hours >= 48, got {hours}"
+        )
+
+
+@_public_runner
 def sweep_temporal_shifting(
     hours: int = 72,
     *,
     capacity_kw: float = 2500.0,
     stochastic_seeds: "tuple[int, ...]" = (0, 1),
-    **options: Any,
-) -> Table:
+    options: ExecOptions,
+) -> "tuple[Table, FailureReport]":
     """Carbon-aware scheduling across the bundled trace catalog.
 
     Runs the default policy spectrum (agnostic / aware / slack-bounded)
@@ -548,201 +581,60 @@ def sweep_temporal_shifting(
     ``options`` are the :class:`repro.exec.ExecOptions` settings of
     the evaluator, which shards the trace axis.
     """
-    from ..traces import canonical_workloads, evaluate_policies, profile_catalog
-
-    if hours < 48:
-        raise SimulationError(
-            "the temporal-shifting sweep's workloads span two days; "
-            f"need hours >= 48, got {hours}"
-        )
-    catalog = profile_catalog(hours, stochastic_seeds=stochastic_seeds)
-    return evaluate_policies(
-        catalog,
+    _check_shifting_hours(hours)
+    return evaluate_policies.__wrapped__(
+        profile_catalog(hours, stochastic_seeds=stochastic_seeds),
         canonical_workloads(),
         capacity_kw=capacity_kw,
-        **options,
+        options=options,
     )
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A named, CLI-runnable decision-space exploration.
+    """A named, CLI-runnable decision-space exploration, as data.
 
-    ``build`` runs the deterministic point-estimate sweep;
-    ``build_uncertain(draws, seed)``, when present, runs the same
-    decision space with its elusive parameters tagged as distributions
-    and returns an :class:`repro.uncertainty.UncertainResult`
-    (``repro sweep NAME --draws N``). Both callables receive exactly
-    the :class:`repro.exec.ExecOptions` keywords their caller passed,
-    forward them to the sharded runners, and return the runner's
-    result in the options' public return form.
+    ``runners`` names the point runner and the uncertain runner as
+    ``"module:function"``, resolved when the sweep runs, so the
+    registry reaches runners in modules that import this one. Each
+    takes the value of the ``inputs`` factory (also a
+    ``"module:function"`` name; ``None`` for none), then the sweep's
+    axes as one :class:`ScenarioGrid` (none when the axes are empty),
+    then the :class:`repro.exec.ExecOptions` value as ``options`` —
+    and the uncertain runner ``draws`` and ``seed`` — and returns the
+    internal ``(result, FailureReport)`` pair.
 
-    ``axis_size``, when present, reports the length of the axis the
-    sweep's sharded runner actually chunks when that is *not* the
-    result row count — the ``portfolio`` sweep shards its device
-    catalog, not its scenario grid — so fault-injection tooling can
-    compute valid chunk starts.
+    ``axes`` are the point sweep's scenario axes; ``uncertain_axes``
+    are the uncertain sweep's, in full: the elusive parameters are
+    distribution tags (``repro sweep NAME --draws N``), and the two
+    grids need not share their axes.
     """
 
     name: str
     description: str
-    build: Callable[..., Table]
-    build_uncertain: "Callable[..., Any] | None" = None
-    axis_size: "Callable[[], int] | None" = None
+    runners: "tuple[str, str]"
+    inputs: "str | None"
+    axes: Mapping[str, Sequence[Any]]
+    uncertain_axes: Mapping[str, Sequence[Any]]
 
 
-def _fleet_growth_lifetime(**exec_options: Any) -> Table:
-    grid = ScenarioGrid(
-        **{
-            "annual_growth": [0.0, 0.1, 0.25, 0.5],
-            "server.lifetime_years": [2.0, 3.0, 4.0, 6.0],
-        }
-    )
-    return sweep_fleet(facebook_like_fleet(), grid, **exec_options)
-
-
-def _fleet_pue_utilization(**exec_options: Any) -> Table:
-    grid = ScenarioGrid(
-        **{
-            "facility.pue": [1.07, 1.1, 1.25, 1.5],
-            "utilization": [0.25, 0.45, 0.65, 0.85],
-        }
-    )
-    return sweep_fleet(facebook_like_fleet(), grid, **exec_options)
-
-
-def _provisioning_mix(**exec_options: Any) -> Table:
-    workloads, general, server_types = example_service_mix()
-    return sweep_provisioning(
-        workloads,
-        general,
-        server_types,
-        utilization_targets=[0.4, 0.5, 0.6, 0.7, 0.8],
-        demand_scales=[0.5, 1.0, 2.0, 4.0],
-        **exec_options,
-    )
-
-
-def _fleet_growth_lifetime_uncertain(
-    draws: int, seed: int, **exec_options: Any
-):
-    """Growth × lifetime axes with PUE and utilization left elusive."""
-    from ..analysis.uncertainty import Normal, Triangular
-    from ..uncertainty import sweep_fleet_uncertain
-
-    grid = ScenarioGrid(
-        **{
-            "annual_growth": [0.0, 0.1, 0.25, 0.5],
-            "server.lifetime_years": [2.0, 3.0, 4.0, 6.0],
-            "facility.pue": [Triangular(1.07, 1.10, 1.30)],
-            "utilization": [Normal(0.45, 0.05)],
-        }
-    )
-    return sweep_fleet_uncertain(
-        facebook_like_fleet(),
-        grid,
-        draws=draws,
-        seed=seed,
-        **exec_options,
-    )
-
-
-def _fleet_pue_utilization_uncertain(
-    draws: int, seed: int, **exec_options: Any
-):
-    """PUE × utilization axes with growth and lifetime left elusive."""
-    from ..analysis.uncertainty import Mixture, Normal
-    from ..uncertainty import sweep_fleet_uncertain
-
-    grid = ScenarioGrid(
-        **{
-            "facility.pue": [1.07, 1.1, 1.25, 1.5],
-            "utilization": [0.25, 0.45, 0.65, 0.85],
-            "annual_growth": [Normal(0.25, 0.05)],
-            "server.lifetime_years": [
-                Mixture.discrete({3.0: 0.3, 4.0: 0.5, 6.0: 0.2})
-            ],
-        }
-    )
-    return sweep_fleet_uncertain(
-        facebook_like_fleet(),
-        grid,
-        draws=draws,
-        seed=seed,
-        **exec_options,
-    )
-
-
-def _provisioning_mix_uncertain(
-    draws: int, seed: int, **exec_options: Any
-):
-    """Utilization-target axis with a log-normal demand forecast."""
-    from ..analysis.uncertainty import LogNormal
-    from ..uncertainty import sweep_provisioning_uncertain
-
-    workloads, general, server_types = example_service_mix()
-    return sweep_provisioning_uncertain(
-        workloads,
-        general,
-        server_types,
-        utilization_targets=[0.4, 0.5, 0.6, 0.7, 0.8],
-        demand_scales=[LogNormal.from_median(1.0, 0.35)],
-        draws=draws,
-        seed=seed,
-        **exec_options,
-    )
-
-
-def _temporal_shifting_uncertain(
-    draws: int, seed: int, **exec_options: Any
-):
-    """Policy savings bands across seeded weather/demand noise draws."""
-    from ..uncertainty import sweep_temporal_shifting_uncertain
-
-    return sweep_temporal_shifting_uncertain(
-        draws=draws, seed=seed, **exec_options
-    )
-
-
-def _device_portfolio(**exec_options: Any) -> Table:
-    """Default catalog across node-shrink, fab-grid, and lifetime axes."""
-    from ..portfolio import default_catalog, sweep_portfolio
-
-    grid = ScenarioGrid(
-        **{
-            "node_shift": [0.0, 1.0, 2.0],
-            "fab_intensity_g_per_kwh": [583.0, 250.0],
-            "lifetime_scale": [1.0, 1.5],
-        }
-    )
-    return sweep_portfolio(default_catalog(), grid, **exec_options)
-
-
-def _device_portfolio_uncertain(
-    draws: int, seed: int, **exec_options: Any
-):
-    """Node-shrink axis with fab-yield and lifetime left elusive."""
-    from ..analysis.uncertainty import LogNormal, Triangular
-    from ..portfolio import default_catalog, sweep_portfolio_uncertain
-
-    grid = ScenarioGrid(
-        **{
-            "node_shift": [0.0, 1.0, 2.0],
-            "defect_density_scale": [LogNormal.from_median(1.0, 0.25)],
-            "lifetime_scale": [Triangular(0.8, 1.0, 1.4)],
-        }
-    )
-    return sweep_portfolio_uncertain(
-        default_catalog(), grid, draws=draws, seed=seed, **exec_options
-    )
-
-
-def _device_portfolio_axis_size() -> int:
-    """The portfolio sweep shards its device catalog, not its grid."""
-    from ..portfolio import default_catalog
-
-    return len(default_catalog())
-
+_FLEET_RUNNERS = (
+    "repro.scenarios.runner:sweep_fleet",
+    "repro.uncertainty.sweeps:sweep_fleet_uncertain",
+)
+_FLEET_INPUTS = "repro.scenarios.presets:facebook_like_fleet"
+_GROWTH_LIFETIME = {
+    "annual_growth": [0.0, 0.1, 0.25, 0.5],
+    "server.lifetime_years": [2.0, 3.0, 4.0, 6.0],
+}
+_PUE_UTILIZATION = {
+    "facility.pue": [1.07, 1.1, 1.25, 1.5],
+    "utilization": [0.25, 0.45, 0.65, 0.85],
+}
+_TARGETS_SCALES = {
+    "utilization_targets": [0.4, 0.5, 0.6, 0.7, 0.8],
+    "demand_scales": [0.5, 1.0, 2.0, 4.0],
+}
 
 SWEEPS: dict[str, SweepSpec] = {
     spec.name: spec
@@ -753,8 +645,15 @@ SWEEPS: dict[str, SweepSpec] = {
                 "Final-year opex/capex split of the Facebook-like fleet "
                 "across growth rates and server lifetimes"
             ),
-            build=_fleet_growth_lifetime,
-            build_uncertain=_fleet_growth_lifetime_uncertain,
+            runners=_FLEET_RUNNERS,
+            inputs=_FLEET_INPUTS,
+            axes=_GROWTH_LIFETIME,
+            # PUE and utilization left elusive.
+            uncertain_axes={
+                **_GROWTH_LIFETIME,
+                "facility.pue": [Triangular(1.07, 1.10, 1.30)],
+                "utilization": [Normal(0.45, 0.05)],
+            },
         ),
         SweepSpec(
             name="fleet_pue_utilization",
@@ -762,8 +661,17 @@ SWEEPS: dict[str, SweepSpec] = {
                 "Final-year fleet footprint across facility PUE and "
                 "steady-state utilization"
             ),
-            build=_fleet_pue_utilization,
-            build_uncertain=_fleet_pue_utilization_uncertain,
+            runners=_FLEET_RUNNERS,
+            inputs=_FLEET_INPUTS,
+            axes=_PUE_UTILIZATION,
+            # Growth and lifetime left elusive.
+            uncertain_axes={
+                **_PUE_UTILIZATION,
+                "annual_growth": [Normal(0.25, 0.05)],
+                "server.lifetime_years": [
+                    Mixture.discrete({3.0: 0.3, 4.0: 0.5, 6.0: 0.2})
+                ],
+            },
         ),
         SweepSpec(
             name="provisioning_mix",
@@ -771,8 +679,17 @@ SWEEPS: dict[str, SweepSpec] = {
                 "Homogeneous vs heterogeneous provisioning carbon across "
                 "utilization targets and demand scales"
             ),
-            build=_provisioning_mix,
-            build_uncertain=_provisioning_mix_uncertain,
+            runners=(
+                "repro.scenarios.runner:_provisioning_grid",
+                "repro.uncertainty.sweeps:_provisioning_uncertain_grid",
+            ),
+            inputs="repro.scenarios.presets:example_service_mix",
+            axes=_TARGETS_SCALES,
+            # A log-normal demand forecast.
+            uncertain_axes={
+                **_TARGETS_SCALES,
+                "demand_scales": [LogNormal.from_median(1.0, 0.35)],
+            },
         ),
         SweepSpec(
             name="temporal_shifting",
@@ -780,8 +697,15 @@ SWEEPS: dict[str, SweepSpec] = {
                 "Carbon-aware scheduling policies across the bundled "
                 "intensity-trace catalog and canonical workloads"
             ),
-            build=sweep_temporal_shifting,
-            build_uncertain=_temporal_shifting_uncertain,
+            runners=(
+                "repro.scenarios.runner:sweep_temporal_shifting",
+                "repro.uncertainty.sweeps:sweep_temporal_shifting_uncertain",
+            ),
+            inputs=None,
+            # The trace catalog is the decision space; the uncertain
+            # variant draws seeded weather/demand noise per trace.
+            axes={},
+            uncertain_axes={},
         ),
         SweepSpec(
             name="portfolio",
@@ -789,9 +713,22 @@ SWEEPS: dict[str, SweepSpec] = {
                 "Fleet embodied + use-phase carbon of the default device "
                 "catalog across node-shrink, fab-grid, and lifetime axes"
             ),
-            build=_device_portfolio,
-            build_uncertain=_device_portfolio_uncertain,
-            axis_size=_device_portfolio_axis_size,
+            runners=(
+                "repro.portfolio.sweep:sweep_portfolio",
+                "repro.portfolio.sweep:sweep_portfolio_uncertain",
+            ),
+            inputs="repro.portfolio.catalog:default_catalog",
+            axes={
+                "node_shift": [0.0, 1.0, 2.0],
+                "fab_intensity_g_per_kwh": [583.0, 250.0],
+                "lifetime_scale": [1.0, 1.5],
+            },
+            # Fab yield and lifetime left elusive; the fab grid is fixed.
+            uncertain_axes={
+                "node_shift": [0.0, 1.0, 2.0],
+                "defect_density_scale": [LogNormal.from_median(1.0, 0.25)],
+                "lifetime_scale": [Triangular(0.8, 1.0, 1.4)],
+            },
         ),
     )
 }
@@ -802,26 +739,40 @@ def sweep_names() -> list[str]:
     return list(SWEEPS)
 
 
-def run_sweep(name: str, **options: Any) -> Table:
-    """Run one named sweep and return its result table.
-
-    ``options`` are the :class:`repro.exec.ExecOptions` settings,
-    forwarded to the sweep's builder; the table is identical for every
-    ``jobs``/``chunk_size``, and under ``on_error="skip"`` the return
-    value is the ``(Table, FailureReport)`` pair.
-    """
-    split = ExecOptions(**options).split
+def _dispatch(
+    name: str, options: ExecOptions, draws: "int | None" = None, seed: int = 0
+) -> "tuple[Any, FailureReport]":
+    """Run a named sweep's point (``draws=None``) or uncertain variant
+    in its ``sweep`` span; returns the internal ``(result, report)``."""
     if name not in SWEEPS:
         raise SimulationError(
             f"unknown sweep {name!r}; have {sweep_names()}"
         )
-    with active_recorder().span("sweep", name=name, mode="point") as span:
-        outcome = SWEEPS[name].build(**options)
-        table, _ = split(outcome)
-        rows = getattr(table, "num_rows", None)
-        if rows is not None:
-            span.note(rows=rows)
-        return outcome
+    spec, point = SWEEPS[name], draws is None
+    axes = spec.axes if point else spec.uncertain_axes
+    mode = {} if point else {"draws": draws, "seed": seed}
+    fields = {"mode": "point"} if point else {"mode": "uncertain", **mode}
+    with active_recorder().span("sweep", name=name, **fields) as span:
+        inputs = (resolve_kernel(spec.inputs)(),) if spec.inputs else ()
+        grid = (ScenarioGrid(**axes),) if axes else ()
+        run = inspect.unwrap(resolve_kernel(spec.runners[0 if point else 1]))
+        result, report = run(*inputs, *grid, options=options, **mode)
+        span.note(
+            rows=result.num_rows if point else result.num_scenarios * result.draws
+        )
+        return result, report
+
+
+def run_sweep(name: str, **options: Any) -> Table:
+    """Run one named sweep and return its result table.
+
+    ``options`` are the :class:`repro.exec.ExecOptions` settings,
+    forwarded to the sweep's runner; the table is identical for every
+    ``jobs``/``chunk_size``, and under ``on_error="skip"`` the return
+    value is the ``(Table, FailureReport)`` pair.
+    """
+    options = ExecOptions(**options)
+    return options.finish(*_dispatch(name, options))
 
 
 def run_uncertain_sweep(
@@ -829,33 +780,15 @@ def run_uncertain_sweep(
 ) -> Any:
     """Run one named sweep's distribution-tagged variant.
 
-    Returns the :class:`repro.uncertainty.UncertainResult`; raises for
-    sweeps that have no uncertain variant registered. ``options`` are
-    the :class:`repro.exec.ExecOptions` settings: sharding preserves
-    the per-scenario seeded draw streams, so the samples are
-    bit-identical for every ``jobs``/``chunk_size`` — and across
-    recovered worker failures.
+    Returns the :class:`repro.uncertainty.UncertainResult` (under
+    ``on_error="skip"``, the ``(result, FailureReport)`` pair).
+    ``options`` are the :class:`repro.exec.ExecOptions` settings:
+    sharding preserves the per-scenario seeded draw streams, so the
+    samples are bit-identical for every ``jobs``/``chunk_size`` — and
+    across recovered worker failures.
     """
-    split = ExecOptions(**options).split
-    if name not in SWEEPS:
-        raise SimulationError(
-            f"unknown sweep {name!r}; have {sweep_names()}"
-        )
-    spec = SWEEPS[name]
-    if spec.build_uncertain is None:
-        raise SimulationError(
-            f"sweep {name!r} has no distribution-tagged variant; "
-            "run it without --draws"
-        )
-    with active_recorder().span(
-        "sweep", name=name, mode="uncertain", draws=draws, seed=seed
-    ) as span:
-        outcome = spec.build_uncertain(draws, seed, **options)
-        result, _ = split(outcome)
-        scenarios = getattr(result, "num_scenarios", None)
-        if scenarios is not None:
-            span.note(rows=scenarios * result.draws)
-        return outcome
+    options = ExecOptions(**options)
+    return options.finish(*_dispatch(name, options, draws, seed))
 
 
 def run_cached_sweep(
@@ -900,11 +833,8 @@ def run_cached_sweep(
         options["checkpoint"] = CheckpointStore(
             cache.directory, spec_parts=parts, consume=resume
         )
-    result, report = ExecOptions(**options).split(
-        run_sweep(name, **options)
-        if draws is None
-        else run_uncertain_sweep(name, draws, seed, **options)
-    )
+    options = ExecOptions(**options)
+    result, report = _dispatch(name, options, draws, seed)
     if cache is not None and not report:
         cache.put(key, result)
-    return result, report, False
+    return result, report if options.on_error == "skip" else None, False

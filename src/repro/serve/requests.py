@@ -260,9 +260,11 @@ def _execute_portfolio(
     from ..portfolio import PORTFOLIO_METRICS, default_catalog, sweep_portfolio
 
     records = [request.override_mapping for request in requests]
-    table, report = options.split(
-        sweep_portfolio(default_catalog(), records, **options)
+    table, report = sweep_portfolio.__wrapped__(
+        default_catalog(), records, options=options
     )
+    if options.on_error == "raise":
+        report = None  # any failure raised; only the skip path degrades
     # A fixed schema, never the batch-dependent axis columns
     # ``sweep_portfolio`` would attach.
     rows = _rows(table, ("devices", "units", *PORTFOLIO_METRICS))

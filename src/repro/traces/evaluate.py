@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from ..datacenter.scheduler import (
     schedule_carbon_aware,
 )
 from ..errors import SimulationError
-from ..exec import ExecOptions
+from ..exec import ExecOptions, FailureReport
+from ..exec.options import _public_runner
 from ..exec.runner import _run_batch
 from ..tabular import Table
 from .batch import prefix_sums, schedule_batch
@@ -252,14 +253,15 @@ def _evaluate_chunk(payload: tuple, start: int, stop: int) -> Table:
     )
 
 
+@_public_runner
 def evaluate_policies(
     traces: "Sequence[IntensityTrace] | Mapping[str, IntensityTrace]",
     workloads: Sequence[WorkloadTrace],
     policies: Sequence[SchedulingPolicy] = DEFAULT_POLICIES,
     *,
     capacity_kw: float,
-    **options: Any,
-) -> Table:
+    options: ExecOptions,
+) -> "tuple[Table, FailureReport]":
     """Evaluate every (trace, workload, policy) scenario, batched.
 
     Traces are resampled to the schedulers' hourly granularity,
@@ -272,19 +274,18 @@ def evaluate_policies(
     ``jobs``/``chunk_size`` shard the *trace* axis and results are
     element-identical for every configuration.
     """
-    options = ExecOptions(**options)
     trace_list = _normalize_traces(traces)
     workload_list = _normalize_workloads(workloads)
     policy_list = _normalize_policies(policies)
     payload = (trace_list, workload_list, policy_list, capacity_kw)
-    return options.finish(*_run_batch(
+    return _run_batch(
         _evaluate_chunk, payload, len(trace_list), options,
         combine=Table.concat,
         fn="evaluate_policies",
         traces=len(trace_list),
         workloads=len(workload_list),
         policies=len(policy_list),
-    ))
+    )
 
 
 def _evaluate_batched(

@@ -107,6 +107,12 @@ class DrawMatrix:
             )
 
 
+def _check_draws(draws: int) -> None:
+    """Every uncertain runner's draw-count check, run before any work."""
+    if draws <= 0:
+        raise SimulationError("draw count must be positive")
+
+
 def _check_records(
     scenarios: Sequence[Mapping[str, Any]],
 ) -> list[dict[str, Any]]:
@@ -133,8 +139,7 @@ def build_draw_matrix(
     consumes a fresh ``default_rng(seed)`` in scenario-key order (see
     the module docstring for why).
     """
-    if draws <= 0:
-        raise SimulationError("draw count must be positive")
+    _check_draws(draws)
     records = _check_records(scenarios)
     names = tuple(
         name

@@ -35,16 +35,19 @@ from ..data.grids import US_GRID, region_names
 from ..datacenter.fleet import FleetParameters
 from ..datacenter.heterogeneity import ServerType, WorkloadClass
 from ..errors import SimulationError
-from ..exec import ExecOptions
+from ..exec import ExecOptions, FailureReport
+from ..exec.options import _public_runner
 from ..exec.runner import _run_batch
+from ..scenarios.grid import ScenarioGrid
 from ..scenarios.runner import (
+    _check_shifting_hours,
     _fleet_batch,
     _provisioning_metrics,
     _scalar_axis_names,
 )
 from ..tabular import Table
 from ..units import CarbonIntensity
-from .draws import DrawMatrix, _check_records, build_draw_matrix
+from .draws import DrawMatrix, _check_draws, _check_records, build_draw_matrix
 from .result import UncertainResult
 
 __all__ = [
@@ -186,6 +189,7 @@ def _fleet_uncertain_chunk(payload: tuple, start: int, stop: int) -> UncertainRe
     )
 
 
+@_public_runner
 def sweep_fleet_uncertain(
     base: FleetParameters,
     scenarios: Iterable[Mapping[str, Any]],
@@ -193,8 +197,8 @@ def sweep_fleet_uncertain(
     draws: int = 256,
     seed: int = 0,
     embodied: EmbodiedModel | None = None,
-    **options: Any,
-) -> UncertainResult:
+    options: ExecOptions,
+) -> "tuple[UncertainResult, FailureReport]":
     """Fleet sweep with distribution-tagged parameters.
 
     Every scenario's tagged parameters are sampled ``draws`` times
@@ -213,14 +217,14 @@ def sweep_fleet_uncertain(
     designed "market opex fully eliminated" sentinel and flows into
     the quantile columns as an ordinary order statistic.
     """
-    options = ExecOptions(**options)
+    _check_draws(draws)
     records = _check_records(list(scenarios))
     payload = (base, records, draws, seed, embodied, _kept_axis_names(records))
-    return options.finish(*_run_batch(
+    return _run_batch(
         _fleet_uncertain_chunk, payload, len(records), options,
         combine=UncertainResult.concat,
         fn="sweep_fleet_uncertain", scenarios=len(records), draws=draws,
-    ))
+    )
 
 
 def _axis_values(name: str, axis: Any) -> list[Any]:
@@ -267,6 +271,7 @@ def _provisioning_uncertain_chunk(
     )
 
 
+@_public_runner
 def sweep_provisioning_uncertain(
     workloads: Sequence[WorkloadClass],
     general: ServerType,
@@ -278,8 +283,8 @@ def sweep_provisioning_uncertain(
     seed: int = 0,
     grid: CarbonIntensity | None = None,
     model: EmbodiedModel | None = None,
-    **options: Any,
-) -> UncertainResult:
+    options: ExecOptions,
+) -> "tuple[UncertainResult, FailureReport]":
     """Provisioning sweep with uncertain targets and demand forecasts.
 
     Axes may mix point values and distribution tags (a log-normal
@@ -290,7 +295,7 @@ def sweep_provisioning_uncertain(
     scenario axis keeps the samples bit-identical (per-scenario seeded
     draw streams).
     """
-    options = ExecOptions(**options)
+    _check_draws(draws)
     grid = grid or US_GRID.intensity
     model = model or EmbodiedModel()
     targets = _axis_values("utilization_targets", utilization_targets)
@@ -302,11 +307,27 @@ def sweep_provisioning_uncertain(
     ]
     fleet = (tuple(workloads), general, tuple(server_types), grid, model)
     payload = (fleet, records, draws, seed, _kept_axis_names(records))
-    return options.finish(*_run_batch(
+    return _run_batch(
         _provisioning_uncertain_chunk, payload, len(records), options,
         combine=UncertainResult.concat,
         fn="sweep_provisioning_uncertain", scenarios=len(records), draws=draws,
-    ))
+    )
+
+
+def _provisioning_uncertain_grid(
+    mix: tuple,
+    scenarios: ScenarioGrid,
+    *,
+    draws: int,
+    seed: int,
+    options: ExecOptions,
+) -> "tuple[UncertainResult, FailureReport]":
+    """:func:`sweep_provisioning_uncertain` as a registered runner: the
+    ``(workloads, general, server_types)`` mix, then a grid whose axes
+    are the runner's axis keywords."""
+    return sweep_provisioning_uncertain.__wrapped__(
+        *mix, **scenarios.axes, draws=draws, seed=seed, options=options
+    )
 
 
 def _shifting_uncertain_chunk(
@@ -367,14 +388,15 @@ def _shifting_uncertain_chunk(
     )
 
 
+@_public_runner
 def sweep_temporal_shifting_uncertain(
     hours: int = 72,
     *,
     capacity_kw: float = 2500.0,
     draws: int = 8,
     seed: int = 0,
-    **options: Any,
-) -> UncertainResult:
+    options: ExecOptions,
+) -> "tuple[UncertainResult, FailureReport]":
     """Carbon-aware scheduling bands across weather/demand noise draws.
 
     The elusive input here is the *trace itself*: each draw is a
@@ -388,19 +410,13 @@ def sweep_temporal_shifting_uncertain(
     shard the *region* axis, and noisy-trace seeds depend only on the
     draw index, so sharded samples are bit-identical.
     """
-    options = ExecOptions(**options)
-    if hours < 48:
-        raise SimulationError(
-            "the temporal-shifting sweep's workloads span two days; "
-            f"need hours >= 48, got {hours}"
-        )
-    if draws <= 0:
-        raise SimulationError("draw count must be positive")
+    _check_shifting_hours(hours)
+    _check_draws(draws)
     regions = region_names()
     payload = (tuple(regions), hours, capacity_kw, draws, seed)
-    return options.finish(*_run_batch(
+    return _run_batch(
         _shifting_uncertain_chunk, payload, len(regions), options,
         combine=UncertainResult.concat,
         fn="sweep_temporal_shifting_uncertain", scenarios=len(regions),
         draws=draws,
-    ))
+    )

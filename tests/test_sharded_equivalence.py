@@ -38,9 +38,11 @@ from repro.scenarios import (
     ScenarioGrid,
     example_service_mix,
     facebook_like_fleet,
+    run_cached_sweep,
     run_sweep,
     run_uncertain_sweep,
     sweep_fleet,
+    sweep_names,
     sweep_provisioning,
 )
 from repro.tabular import Table
@@ -231,15 +233,13 @@ class TestDeterministicShardedEquivalence:
         )
         _assert_tables_identical(sharded, reference)
 
-    def test_named_sweeps_sharded(self):
-        for name in ("fleet_growth_lifetime", "provisioning_mix"):
-            reference = run_sweep(name)
-            _assert_tables_identical(
-                run_sweep(name, chunk_size=3), reference
-            )
-            _assert_tables_identical(
-                run_sweep(name, jobs=2, chunk_size=5), reference
-            )
+    @pytest.mark.parametrize("name", sweep_names())
+    def test_named_sweeps_sharded(self, name):
+        reference = run_sweep(name)
+        _assert_tables_identical(run_sweep(name, chunk_size=2), reference)
+        _assert_tables_identical(
+            run_sweep(name, jobs=2, chunk_size=3), reference
+        )
 
 
 class TestUncertainShardedEquivalence:
@@ -288,12 +288,15 @@ class TestUncertainShardedEquivalence:
         )
         _assert_uncertain_identical(sharded, reference)
 
-    def test_named_uncertain_sweep_sharded(self):
-        reference = run_uncertain_sweep("provisioning_mix", 8, 3)
-        sharded = run_uncertain_sweep(
-            "provisioning_mix", 8, 3, jobs=2, chunk_size=2
+    @pytest.mark.parametrize("name", sweep_names())
+    def test_named_uncertain_sweep_sharded(self, name):
+        reference = run_uncertain_sweep(name, 4, 3)
+        _assert_uncertain_identical(
+            run_uncertain_sweep(name, 4, 3, chunk_size=2), reference
         )
-        _assert_uncertain_identical(sharded, reference)
+        _assert_uncertain_identical(
+            run_uncertain_sweep(name, 4, 3, jobs=2, chunk_size=3), reference
+        )
 
 
 class TestFaultInjectedEquivalence:
@@ -577,20 +580,41 @@ class TestCliResume:
         assert "--resume" in result.stderr
 
 
-class TestSweepSpecCompatibility:
-    def test_legacy_zero_arg_builders_still_run(self):
-        # SweepSpec predates the execution layer; registered specs with
-        # zero-arg builders must keep working at default settings.
+class TestSweepSpecRegistration:
+    def test_data_form_spec_runs(self, tmp_path):
+        # A spec is data: a one-axis fleet grid registered beside the
+        # built-in sweeps runs through the shared dispatcher, cached
+        # or not.
+        from repro.exec import ResultCache
         from repro.scenarios.runner import SWEEPS, SweepSpec
 
-        legacy = SweepSpec(
-            name="legacy_test_spec",
-            description="a pre-exec-layer spec",
-            build=lambda: Table({"a": [1.0]}),
-            build_uncertain=None,
+        fleet = SWEEPS["fleet_growth_lifetime"]
+        spec = SweepSpec(
+            name="one_axis_fleet_test_spec",
+            description="final-year fleet across growth rates",
+            runners=fleet.runners,
+            inputs=fleet.inputs,
+            axes={"annual_growth": [0.0, 0.25]},
+            uncertain_axes={"annual_growth": [Normal(0.25, 0.05)]},
         )
-        SWEEPS[legacy.name] = legacy
+        SWEEPS[spec.name] = spec
         try:
-            assert run_sweep(legacy.name).column("a") == [1.0]
+            table = run_sweep(spec.name)
+            _assert_tables_identical(
+                table, sweep_fleet(_BASE, ScenarioGrid(**spec.axes))
+            )
+            cache = ResultCache(tmp_path)
+            for expect_cached in (False, True):
+                result, report, cached = run_cached_sweep(
+                    spec.name, cache=cache
+                )
+                assert (report, cached) == (None, expect_cached)
+                _assert_tables_identical(result, table)
+            _assert_uncertain_identical(
+                run_uncertain_sweep(spec.name, 4, 3),
+                sweep_fleet_uncertain(
+                    _BASE, ScenarioGrid(**spec.uncertain_axes), draws=4, seed=3
+                ),
+            )
         finally:
-            del SWEEPS[legacy.name]
+            del SWEEPS[spec.name]

@@ -190,6 +190,44 @@ class TestSweepPlumbing:
         with pytest.raises(SimulationError):
             sweep_temporal_shifting_uncertain(draws=0)
 
+    @pytest.mark.parametrize("draws", [0, -1])
+    @pytest.mark.parametrize(
+        "runner", ["fleet", "provisioning", "temporal", "portfolio"]
+    )
+    def test_bad_draw_counts_fail_before_sharding(self, runner, draws):
+        # A bad draw count is a caller error, not a chunk failure: it
+        # must raise before any chunk attempt, retry budget or not.
+        from repro.obs import TraceRecorder, install_recorder
+        from repro.portfolio import default_catalog, sweep_portfolio_uncertain
+        from repro.scenarios.presets import example_service_mix
+        from repro.uncertainty import sweep_provisioning_uncertain
+
+        run = {
+            "fleet": lambda **kw: sweep_fleet_uncertain(
+                facebook_like_fleet(),
+                ScenarioGrid(utilization=[Normal(0.5, 0.1)]),
+                **kw,
+            ),
+            "provisioning": lambda **kw: sweep_provisioning_uncertain(
+                *example_service_mix(),
+                demand_scales=[LogNormal.from_median(1.0, 0.35)],
+                **kw,
+            ),
+            "temporal": sweep_temporal_shifting_uncertain,
+            "portfolio": lambda **kw: sweep_portfolio_uncertain(
+                default_catalog(),
+                ScenarioGrid(lifetime_scale=[Uniform(0.8, 1.2)]),
+                **kw,
+            ),
+        }[runner]
+        recorder = TraceRecorder()
+        with install_recorder(recorder):
+            with pytest.raises(SimulationError, match="draw count"):
+                run(draws=draws, retries=2)
+        assert not [
+            event for event in recorder.events if event["kind"] == "attempt"
+        ]
+
     def test_expand_records_matches_the_fleet_sweep_expansion(self):
         # expand_records and sweep_fleet_uncertain's OverridePlan path
         # implement the same scenario-major/draw-minor contract; this
@@ -233,9 +271,11 @@ class TestSweepPlumbing:
         with pytest.raises(SimulationError):
             LogNormal(0.0, -0.1)
 
-    def test_named_sweeps_have_uncertain_variants(self):
-        for spec in SWEEPS.values():
-            assert spec.build_uncertain is not None, spec.name
+    @pytest.mark.parametrize("name", list(SWEEPS))
+    def test_named_sweeps_have_uncertain_variants(self, name):
+        result = run_uncertain_sweep(name, draws=2, seed=0)
+        assert isinstance(result, UncertainResult)
+        assert result.draws == 2 and result.num_scenarios > 0
 
     def test_run_uncertain_sweep_round_trip(self):
         result = run_uncertain_sweep("provisioning_mix", draws=4, seed=0)

@@ -22,7 +22,8 @@ Usage::
     PYTHONPATH=src python tools/chaos_sweep.py --sweep provisioning_mix \
         --seed 7 --rate 1.0 --jobs 2 --trace-out /tmp/chaos.jsonl
 
-``benchmarks/run_benchmarks.sh --quick`` runs this (traced) as part of
+``tests/test_chaos_sweep.py`` runs it over every registered sweep, and
+``benchmarks/run_benchmarks.sh --quick`` runs it (traced) as part of
 its smoke pass.
 """
 
@@ -153,12 +154,18 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    clean = run_sweep(args.sweep)
-    # Sweeps that shard a non-scenario axis (the portfolio sweep chunks
-    # its device catalog) report it via SweepSpec.axis_size; the fault
-    # schedule must target that axis's chunk starts, not the row count.
-    size_of_axis = SWEEPS[args.sweep].axis_size
-    axis = size_of_axis() if size_of_axis is not None else clean.num_rows
+    # The fault schedule must target the chunk starts of the axis the
+    # sweep actually shards, which is not always its row count (the
+    # portfolio sweep chunks its device catalog, the temporal sweep its
+    # trace catalog): the clean run's sharded_run span reports it.
+    probe = TraceRecorder()
+    with install_recorder(probe):
+        clean = run_sweep(args.sweep)
+    axis = next(
+        event["scenarios"]
+        for event in probe.events
+        if event["type"] == "span" and event["kind"] == "sharded_run"
+    )
     chunk_size = args.chunk_size or max(1, axis // 4)
     plan = ShardPlan(num_scenarios=axis, chunk_size=chunk_size)
     starts = [shard.start for shard in plan.shards()]
